@@ -13,13 +13,12 @@ from repro.analysis.records import ExperimentRecord
 from repro.core.coverage import address_bus_line_coverage
 
 
-def test_e4_fig11(benchmark, address_setup, builder, address_program, engine):
+def test_e4_fig11(benchmark, address_setup, builder, address_program):
     report = benchmark.pedantic(
         address_bus_line_coverage,
         args=(address_setup.library, address_setup.params,
               address_setup.calibration),
-        kwargs={"builder": builder, "full_program": address_program,
-                "engine": engine},
+        kwargs={"builder": builder, "full_program": address_program},
         rounds=1,
         iterations=1,
     )

@@ -12,11 +12,9 @@ from repro.core.coverage import DefectSimulator
 from repro.soc.bus import BusDirection
 
 
-def test_e5_databus_coverage(benchmark, data_setup, builder, data_program,
-                             engine):
+def test_e5_databus_coverage(benchmark, data_setup, builder, data_program):
     simulator = DefectSimulator(
-        data_program, data_setup.params, data_setup.calibration, bus="data",
-        engine=engine,
+        data_program, data_setup.params, data_setup.calibration, bus="data"
     )
     outcomes = benchmark.pedantic(
         simulator.run_library, args=(data_setup.library,), rounds=1, iterations=1

@@ -13,12 +13,12 @@ from repro.analysis.tables import format_table
 from repro.core.coverage import address_bus_line_coverage
 
 
-def test_e9_overlap(benchmark, address_setup, builder, engine):
+def test_e9_overlap(benchmark, address_setup, builder):
     report = benchmark.pedantic(
         address_bus_line_coverage,
         args=(address_setup.library, address_setup.params,
               address_setup.calibration),
-        kwargs={"builder": builder, "engine": engine},
+        kwargs={"builder": builder},
         rounds=1,
         iterations=1,
     )

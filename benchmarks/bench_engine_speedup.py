@@ -3,11 +3,11 @@
 Times the E4 address-bus campaign (the per-line Fig. 11 sweep, the
 workload the screened engine was built for: side-line programs corrupt
 under almost no defect, so screening eliminates most replays outright
-and checkpoints shorten the rest) with every engine/backend combination,
-and — always, whatever the library size — asserts that the engines
-produce **identical** per-line detected sets.  The coverage-equality
-assertion is what the CI smoke job (50 defects) is for; the speedup
-floors only apply at representative library sizes.
+and checkpoints shorten the rest) on both engines, and — always,
+whatever the library size — asserts that the engines produce
+**identical** per-line detected sets.  The coverage-equality assertion
+is what the CI smoke job (50 defects) is for; the speedup floor only
+applies at representative library sizes.
 """
 
 import time
@@ -17,19 +17,13 @@ from conftest import DEFECT_COUNT, emit, emit_records
 from repro.analysis.records import ExperimentRecord
 from repro.analysis.tables import format_table
 from repro.core.coverage import address_bus_line_coverage
-
-try:
-    import numpy  # noqa: F401 - availability probe only
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
+from repro.core.engine import ENGINES
 
 #: Below this library size, fixed per-program costs (building programs,
 #: golden capture, screening setup) dominate and wall-clock ratios are
-#: noise — the speedup floors are only enforced at representative sizes.
+#: noise — the speedup floor is only enforced at representative sizes.
 SPEEDUP_MIN_DEFECTS = 500
-SPEEDUP_NUMPY = 3.0
-SPEEDUP_PYTHON = 1.5
+SPEEDUP_SCREENED = 3.0
 
 
 def _series(report):
@@ -41,78 +35,54 @@ def _series(report):
 
 
 def test_engine_speedup(benchmark, address_setup, builder):
-    configs = [("exact", "auto")]
-    if HAVE_NUMPY:
-        configs.append(("screened", "numpy"))
-    configs.append(("screened", "python"))
-
     timings = {}
     reports = {}
-    for engine, backend in configs:
+    for engine in ENGINES:
         start = time.perf_counter()
-        report = address_bus_line_coverage(
+        reports[engine] = address_bus_line_coverage(
             address_setup.library, address_setup.params,
-            address_setup.calibration, builder=builder,
-            engine=engine, screen_backend=backend,
+            address_setup.calibration, builder=builder, engine=engine,
         )
-        timings[(engine, backend)] = time.perf_counter() - start
-        reports[(engine, backend)] = report
+        timings[engine] = time.perf_counter() - start
 
     # Hard contract, enforced at every library size: identical results.
-    exact_series = _series(reports[("exact", "auto")])
-    for key, report in reports.items():
-        assert _series(report) == exact_series, (
-            f"engine {key} disagrees with exact coverage"
-        )
+    assert _series(reports["screened"]) == _series(reports["exact"]), (
+        "screened engine disagrees with exact coverage"
+    )
 
-    exact_time = timings[("exact", "auto")]
+    exact_time = timings["exact"]
     rows = [
-        (f"{engine} ({backend})", f"{seconds:.2f}s",
-         f"{exact_time / seconds:.2f}x")
-        for (engine, backend), seconds in timings.items()
+        (engine, f"{seconds:.2f}s", f"{exact_time / seconds:.2f}x")
+        for engine, seconds in timings.items()
     ]
     emit(
         f"engine speedup — E4 per-line campaign, {DEFECT_COUNT} defects",
         format_table(("engine", "wall clock", "speedup vs exact"), rows),
     )
 
-    # Time the winning configuration for the pytest-benchmark record.
-    best_engine, best_backend = min(timings, key=timings.get)
+    # Time the default (screened) engine for the pytest-benchmark record.
     benchmark.pedantic(
         address_bus_line_coverage,
         args=(address_setup.library, address_setup.params,
               address_setup.calibration),
-        kwargs={"builder": builder, "engine": best_engine,
-                "screen_backend": best_backend},
+        kwargs={"builder": builder},
         rounds=1,
         iterations=1,
     )
 
-    records = [
+    speedup = exact_time / timings["screened"]
+    emit_records("engine speedup — record", [
         ExperimentRecord(
             "engine", "screened == exact coverage", "identical", "identical"
-        )
-    ]
-    if HAVE_NUMPY:
-        numpy_speedup = exact_time / timings[("screened", "numpy")]
-        records.append(ExperimentRecord(
-            "engine", "screened (numpy) speedup",
-            f">= {SPEEDUP_NUMPY}x at {SPEEDUP_MIN_DEFECTS}+ defects",
-            f"{numpy_speedup:.2f}x",
-        ))
-    python_speedup = exact_time / timings[("screened", "python")]
-    records.append(ExperimentRecord(
-        "engine", "screened (python) speedup",
-        f">= {SPEEDUP_PYTHON}x at {SPEEDUP_MIN_DEFECTS}+ defects",
-        f"{python_speedup:.2f}x",
-    ))
-    emit_records("engine speedup — record", records)
+        ),
+        ExperimentRecord(
+            "engine", "screened speedup",
+            f">= {SPEEDUP_SCREENED}x at {SPEEDUP_MIN_DEFECTS}+ defects",
+            f"{speedup:.2f}x",
+        ),
+    ])
 
     if DEFECT_COUNT >= SPEEDUP_MIN_DEFECTS:
-        if HAVE_NUMPY:
-            assert numpy_speedup >= SPEEDUP_NUMPY, (
-                f"screened/numpy only {numpy_speedup:.2f}x faster"
-            )
-        assert python_speedup >= SPEEDUP_PYTHON, (
-            f"screened/python only {python_speedup:.2f}x faster"
+        assert speedup >= SPEEDUP_SCREENED, (
+            f"screened engine only {speedup:.2f}x faster"
         )

@@ -1,7 +1,8 @@
 """Fast-core speedup — microprogram interpreter vs reference FSM.
 
 Times the E4 address-bus golden run (the fault-free reference every
-campaign replays against) on both CPU cores, after proving with the
+campaign replays against) on the fast core every system runs and on the
+FSM reference core the lockstep module swaps in, after proving with the
 lockstep differential harness that they are **bit-identical**: same bus
 transaction stream, same architectural state, same cycle count.  The
 ``>= 2x`` floor is unconditional — the golden run is pure interpreter
@@ -15,7 +16,7 @@ from conftest import emit, emit_records
 from repro.analysis.records import ExperimentRecord
 from repro.analysis.tables import format_table
 from repro.core.signature import make_system
-from repro.cpu.lockstep import run_lockstep
+from repro.cpu.lockstep import reference_system, run_lockstep
 
 #: Minimum fast/micro wall-clock ratio on the golden run (the issue's
 #: acceptance floor; measured ~2.5-2.7x on CPython 3.12).
@@ -24,12 +25,19 @@ SPEEDUP_FLOOR = 2.0
 LOOPS = 5
 
 
-def _time_golden(program, core):
-    """Best-of-``LOOPS`` wall clock of the fault-free run on ``core``."""
+def _reference_system(program):
+    """``program`` loaded into a system running the FSM reference core."""
+    system = reference_system(program.memory_size)
+    system.load_image(program.image)
+    return system
+
+
+def _time_golden(program, build):
+    """Best-of-``LOOPS`` wall clock of the fault-free run on ``build()``."""
     best = float("inf")
     cycles = 0
     for _ in range(LOOPS):
-        system = make_system(program, core=core)
+        system = build(program)
         start = time.perf_counter()
         system.run(entry=program.entry, max_cycles=1_000_000)
         best = min(best, time.perf_counter() - start)
@@ -46,8 +54,8 @@ def test_fast_core_speedup(benchmark, address_program):
     )
     assert report.halted
 
-    micro_time, micro_cycles = _time_golden(address_program, "micro")
-    fast_time, fast_cycles = _time_golden(address_program, "fast")
+    micro_time, micro_cycles = _time_golden(address_program, _reference_system)
+    fast_time, fast_cycles = _time_golden(address_program, make_system)
     assert fast_cycles == micro_cycles == report.cycles
     speedup = micro_time / fast_time
 
@@ -79,7 +87,7 @@ def test_fast_core_speedup(benchmark, address_program):
     )
 
     def golden_run():
-        system = make_system(address_program, core="fast")
+        system = make_system(address_program)
         system.run(entry=address_program.entry, max_cycles=1_000_000)
         return system.cycle
 

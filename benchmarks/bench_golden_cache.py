@@ -10,7 +10,7 @@ outcomes; the worker run proves the per-process counters roll up.
 
 import time
 
-from conftest import BENCH_ENGINE, DEFECT_COUNT, emit, emit_records
+from conftest import DEFECT_COUNT, emit, emit_records
 
 from repro.analysis.records import ExperimentRecord
 from repro.analysis.tables import format_table
@@ -80,8 +80,7 @@ def test_golden_cache_warm_runs(benchmark, address_setup, address_program):
     assert warm.coverage() == cold.coverage() == pool.coverage()
 
     emit(
-        f"golden-run cache — screened campaign, {CACHE_DEFECTS} defects "
-        f"(engine default: {BENCH_ENGINE})",
+        f"golden-run cache — screened campaign, {CACHE_DEFECTS} defects",
         format_table(
             ("run", "wall clock", "cache hits", "golden cycles"),
             [

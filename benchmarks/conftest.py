@@ -20,11 +20,11 @@ Library size: the paper uses 1000 defects per bus.  The benchmarks
 default to the full 1000; set REPRO_BENCH_DEFECTS to shrink it for quick
 runs.
 
-Engine: REPRO_BENCH_ENGINE selects the defect-simulation engine the
-campaign benchmarks use (``exact`` — the default — or ``screened``; see
-``repro.core.engine``).  Engines are outcome-identical, so paper records
-do not depend on this; ``bench_engine_speedup.py`` asserts exactly that
-while timing the difference.
+Engine: the campaign benchmarks run the library's default engine
+(``screened``; see ``repro.core.engine``).  Engines are
+outcome-identical, so paper records do not depend on it;
+``bench_engine_speedup.py`` asserts exactly that against the exact
+engine while timing the difference.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ from repro.analysis.records import ExperimentRecord, format_records
 
 DEFECT_COUNT = int(os.environ.get("REPRO_BENCH_DEFECTS", "1000"))
 REPORT_DIR = Path(os.environ.get("REPRO_BENCH_REPORT_DIR", "."))
-BENCH_ENGINE = os.environ.get("REPRO_BENCH_ENGINE", "exact")
-if BENCH_ENGINE not in ("exact", "screened"):
-    raise ValueError(
-        f"REPRO_BENCH_ENGINE must be 'exact' or 'screened', "
-        f"got {BENCH_ENGINE!r}"
-    )
 # Worker counts the parallel-campaign benchmark sweeps (comma-separated;
 # the CI parallel-smoke job sets "2" to keep the quick run to one pool).
 WORKER_COUNTS = tuple(
@@ -141,7 +135,7 @@ def bench_report(request):
     report = obs.RunReport(
         kind="benchmark",
         label=f"bench:{request.node.name}",
-        config={"defects": DEFECT_COUNT, "engine": BENCH_ENGINE},
+        config={"defects": DEFECT_COUNT},
     )
     _current_report = report
     try:
@@ -159,12 +153,6 @@ def bench_report(request):
 @pytest.fixture(scope="session")
 def defect_count():
     return DEFECT_COUNT
-
-
-@pytest.fixture(scope="session")
-def engine():
-    """Simulation engine for campaign benchmarks (REPRO_BENCH_ENGINE)."""
-    return BENCH_ENGINE
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,7 @@ from repro import (
 )
 from repro.analysis.charts import coverage_chart
 from repro.analysis.tables import format_table
+from repro.core.campaign import JournalError
 from repro.core.signature import capture_golden
 from repro.core.validate import validate_applied_tests
 from repro.isa.disassembler import disassemble_image, format_listing
@@ -144,20 +145,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         bus=args.bus,
         engine=args.engine,
         label=f"simulate:{args.bus}",
-        seed=args.seed,
-        core=args.core,
         use_cache=not args.no_cache,
     )
     # A metrics session makes the golden-cache behavior observable in
     # the output: warm runs report hits >= 1 and golden_cycles == 0.
     with obs_runtime.session(detail="metrics") as obs_session:
-        result = run_campaign(
-            spec,
-            workers=args.workers,
-            journal=args.journal,
-            resume=args.resume,
-            progress=_stderr_progress(f"simulate[{args.bus}]"),
-        )
+        try:
+            result = run_campaign(
+                spec,
+                workers=args.workers,
+                journal=args.journal,
+                resume=args.resume,
+                progress=_stderr_progress(f"simulate[{args.bus}]"),
+            )
+        except JournalError as error:
+            print(f"simulate: {error}", file=sys.stderr)
+            return 2
         metrics = obs_session.registry.snapshot()
     cache_stats = {
         name: _counter_value(metrics, f"coverage.engine.golden_cache.{name}")
@@ -171,7 +174,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             {
                 "bus": args.bus,
                 "engine": args.engine,
-                "core": args.core,
                 "backend": result.backend,
                 "workers": result.workers,
                 "defects": total,
@@ -190,7 +192,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     rows = [
         ("engine", args.engine),
-        ("cpu core", args.core),
         ("backend / workers", f"{result.backend} / {result.workers}"),
         ("defects simulated", str(total)),
         ("resumed from journal", str(result.resumed)),
@@ -211,12 +212,16 @@ def cmd_fig11(args: argparse.Namespace) -> int:
         return 2
     setup = default_bus_setup(12, defect_count=args.defects, seed=args.seed)
     builder, program = _build_program("addr")
-    report = address_bus_line_coverage(
-        setup.library, setup.params, setup.calibration,
-        builder=builder, full_program=program, engine=args.engine,
-        workers=args.workers, journal=args.journal, resume=args.resume,
-        progress=_stderr_progress("fig11"), core=args.core,
-    )
+    try:
+        report = address_bus_line_coverage(
+            setup.library, setup.params, setup.calibration,
+            builder=builder, full_program=program, engine=args.engine,
+            workers=args.workers, journal=args.journal, resume=args.resume,
+            progress=_stderr_progress("fig11"),
+        )
+    except JournalError as error:
+        print(f"fig11: {error}", file=sys.stderr)
+        return 2
     print(coverage_chart(
         [(line.line, line.individual, line.cumulative)
          for line in report.lines]
@@ -260,7 +265,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         "detail": args.detail,
         "engine": args.engine,
         "workers": args.workers,
-        "core": args.core,
     }
     results: dict = {}
     with obs.session(detail=args.detail) as obs_session:
@@ -293,7 +297,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
                     setup.library, setup.params, setup.calibration,
                     builder=builder, full_program=program,
                     engine=args.engine, workers=args.workers,
-                    core=args.core,
                 )
                 results["coverage"] = {
                     "cumulative": report.cumulative_coverage,
@@ -320,8 +323,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
                     bus=args.bus,
                     engine=args.engine,
                     label="profile:examples",
-                    seed=args.seed,
-                    core=args.core,
                 )
                 result = run_campaign(spec, workers=args.workers)
                 results["coverage"] = {
@@ -433,10 +434,10 @@ def make_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     engine_help = (
-        "defect-simulation engine: 'exact' replays every defect in full, "
-        "'screened' screens the library against the golden bus trace and "
-        "replays only divergent defects from a checkpoint (identical "
-        "outcomes, much faster on lightly-corrupting campaigns)"
+        "defect-simulation engine: 'screened' (default) screens the "
+        "library against the golden bus trace and replays only divergent "
+        "defects from a checkpoint; 'exact' replays every defect in full "
+        "(identical outcomes, several times slower)"
     )
 
     workers_help = (
@@ -453,24 +454,17 @@ def make_parser() -> argparse.ArgumentParser:
         "(requires --journal; the journal must match the campaign "
         "configuration)"
     )
-    core_help = (
-        "CPU core implementation: 'micro' is the reference FSM, 'fast' the "
-        "microprogram fast path (bit-identical bus stream, ~2-3x faster), "
-        "'auto' follows REPRO_FAST_CORE (default: fast)"
-    )
 
     simulate = sub.add_parser("simulate", help="run a defect campaign")
     simulate.add_argument("--bus", choices=("addr", "data"), default="addr")
     simulate.add_argument("--defects", type=int, default=300)
     simulate.add_argument("--seed", type=int, default=2001)
     simulate.add_argument("--engine", choices=("exact", "screened"),
-                          default="exact", help=engine_help)
+                          default="screened", help=engine_help)
     simulate.add_argument("--workers", type=int, default=1,
                           help=workers_help)
     simulate.add_argument("--journal", metavar="PATH", help=journal_help)
     simulate.add_argument("--resume", action="store_true", help=resume_help)
-    simulate.add_argument("--core", choices=("auto", "fast", "micro"),
-                          default="auto", help=core_help)
     simulate.add_argument("--no-cache", action="store_true",
                           help="skip the golden-run artifact cache and "
                           "recapture the fault-free reference")
@@ -483,12 +477,10 @@ def make_parser() -> argparse.ArgumentParser:
     fig11.add_argument("--defects", type=int, default=300)
     fig11.add_argument("--seed", type=int, default=2001)
     fig11.add_argument("--engine", choices=("exact", "screened"),
-                       default="exact", help=engine_help)
+                       default="screened", help=engine_help)
     fig11.add_argument("--workers", type=int, default=1, help=workers_help)
     fig11.add_argument("--journal", metavar="PATH", help=journal_help)
     fig11.add_argument("--resume", action="store_true", help=resume_help)
-    fig11.add_argument("--core", choices=("auto", "fast", "micro"),
-                       default="auto", help=core_help)
     fig11.set_defaults(func=cmd_fig11)
 
     timing = sub.add_parser("timing", help="Fig. 5 load-instruction timing")
@@ -508,7 +500,7 @@ def make_parser() -> argparse.ArgumentParser:
     profile.add_argument("--defects", type=int, default=200)
     profile.add_argument("--seed", type=int, default=2001)
     profile.add_argument("--engine", choices=("exact", "screened"),
-                         default="exact", help=engine_help)
+                         default="screened", help=engine_help)
     profile.add_argument("--workers", type=int, default=1,
                          help=workers_help + "; worker metrics are rolled "
                          "up into the single RunReport")
@@ -523,8 +515,6 @@ def make_parser() -> argparse.ArgumentParser:
                          "fault-free golden run")
     profile.add_argument("--max-trace", type=int, default=4096,
                          help="trace ring-buffer capacity (newest kept)")
-    profile.add_argument("--core", choices=("auto", "fast", "micro"),
-                         default="auto", help=core_help)
     profile.set_defaults(func=cmd_profile)
 
     cache = sub.add_parser(

@@ -5,9 +5,11 @@ its engine from scratch — which each process-pool worker, each
 ``--resume``, and each repeated CLI invocation did by re-simulating the
 entire golden run.  The golden artifacts are pure functions of the
 spec's :meth:`~repro.core.campaign.CampaignSpec.fingerprint` (program
-image + entry, electrical parameters, calibration, defect library, bus)
-plus the checkpoint-interval knob, so this module stores them on disk
-keyed by exactly that.
+image + entry, electrical parameters, calibration, defect library, bus),
+so this module stores them on disk keyed by exactly that.  Entries hold
+the capture at the derived checkpoint spacing
+(:func:`~repro.core.engine.auto_checkpoint_interval`), the only spacing
+campaigns use.
 
 Entry layout (one file per key, ``<sha256>.rgc`` under the cache root):
 
@@ -430,17 +432,15 @@ class GoldenRunCache:
 
     # -- keys ---------------------------------------------------------
 
-    def key_for(
-        self, fingerprint: str, checkpoint_interval: Optional[int] = None
-    ) -> str:
-        """The entry key for a campaign fingerprint + interval knob.
+    def key_for(self, fingerprint: str) -> str:
+        """The entry key for a campaign fingerprint.
 
-        The interval changes the checkpoint series (an artifact, not an
-        input), so it is part of the key rather than the fingerprint;
-        the format version is folded in so layout changes miss cleanly.
+        The format version is folded in so layout changes miss cleanly.
+        The trailing ``auto`` names the derived checkpoint spacing; it
+        keeps the key bytes of entries written when the spacing was
+        selectable, so those entries still load.
         """
-        token = "auto" if checkpoint_interval is None else str(int(checkpoint_interval))
-        payload = f"{MAGIC}:v{FORMAT_VERSION}:{fingerprint}:{token}"
+        payload = f"{MAGIC}:v{FORMAT_VERSION}:{fingerprint}:auto"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _path(self, key: str) -> Path:
@@ -448,15 +448,13 @@ class GoldenRunCache:
 
     # -- load / store -------------------------------------------------
 
-    def load(
-        self, fingerprint: str, checkpoint_interval: Optional[int] = None
-    ) -> Optional[CachedCampaign]:
+    def load(self, fingerprint: str) -> Optional[CachedCampaign]:
         """Return the warm entry for ``fingerprint``, or ``None``.
 
         Counts a hit or a miss; corrupt entries are unlinked (counted
         as ``corrupt_evicted``) and reported as misses.
         """
-        path = self._path(self.key_for(fingerprint, checkpoint_interval))
+        path = self._path(self.key_for(fingerprint))
         entry = self._load_quiet(path)
         if entry is None:
             _count("misses")
@@ -507,14 +505,13 @@ class GoldenRunCache:
     def store(
         self,
         fingerprint: str,
-        checkpoint_interval: Optional[int],
         bus: str,
         capture: GoldenCapture,
         verdicts: Optional[Mapping[int, ScreenVerdict]] = None,
     ) -> Path:
         """Write (or overwrite) the entry for ``fingerprint`` atomically."""
         verdicts = dict(verdicts or {})
-        key = self.key_for(fingerprint, checkpoint_interval)
+        key = self.key_for(fingerprint)
         memory_size = len(capture.golden.snapshot)
         try:
             data = _encode_entry(
@@ -523,11 +520,7 @@ class GoldenRunCache:
                     "version": FORMAT_VERSION,
                     "key": key,
                     "fingerprint": fingerprint,
-                    "interval": (
-                        "auto"
-                        if checkpoint_interval is None
-                        else int(checkpoint_interval)
-                    ),
+                    "interval": "auto",
                     "bus": bus,
                     "memory_size": memory_size,
                     "cycles": capture.golden.cycles,
@@ -573,7 +566,6 @@ class GoldenRunCache:
     def merge_verdicts(
         self,
         fingerprint: str,
-        checkpoint_interval: Optional[int],
         bus: str,
         capture: GoldenCapture,
         verdicts: Mapping[int, ScreenVerdict],
@@ -583,14 +575,14 @@ class GoldenRunCache:
         Returns True when the entry was (re)written; a no-op when every
         verdict is already stored, so warm runs do zero writes.
         """
-        path = self._path(self.key_for(fingerprint, checkpoint_interval))
+        path = self._path(self.key_for(fingerprint))
         existing = self._load_quiet(path)
         merged: Dict[int, ScreenVerdict] = dict(existing.verdicts) if existing else {}
         before = len(merged)
         merged.update(verdicts)
         if existing is not None and len(merged) == before:
             return False
-        self.store(fingerprint, checkpoint_interval, bus, capture, merged)
+        self.store(fingerprint, bus, capture, merged)
         return True
 
     # -- maintenance --------------------------------------------------

@@ -79,7 +79,6 @@ from repro.core.engine import (
 )
 from repro.core.program_builder import SelfTestProgram
 from repro.core.signature import ResponseCheck
-from repro.cpu.microcode import resolve_core
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import merge_snapshot
 from repro.xtalk.calibration import Calibration
@@ -217,7 +216,7 @@ def config_digest(
 ) -> str:
     """SHA-256 over a canonical JSON form of one campaign configuration.
 
-    Engine selection and tuning knobs are deliberately *excluded*:
+    Engine selection is deliberately *excluded*:
     engines are outcome-identical, so a journal written with the exact
     engine may be resumed with the screened one (and vice versa).
     """
@@ -265,12 +264,8 @@ class CampaignSpec:
     calibration: Calibration
     defects: Tuple[Defect, ...]
     bus: str = "addr"
-    engine: str = "exact"
-    checkpoint_interval: Optional[int] = None
-    screen_backend: str = "auto"
+    engine: str = "screened"
     label: str = "campaign"
-    seed: Optional[int] = None
-    core: str = "auto"
     use_cache: bool = True
 
     def __post_init__(self):
@@ -278,26 +273,6 @@ class CampaignSpec:
             raise ValueError("bus must be 'addr' or 'data'")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        resolve_core(self.core)  # validates; raises ValueError on junk
-
-    @classmethod
-    def from_setup(
-        cls,
-        program: SelfTestProgram,
-        setup: "object",
-        bus: str = "addr",
-        **kwargs: object,
-    ) -> "CampaignSpec":
-        """Spec from a :class:`repro.BusTestSetup` convenience bundle."""
-        return cls(
-            program=program,
-            params=setup.params,  # type: ignore[attr-defined]
-            calibration=setup.calibration,  # type: ignore[attr-defined]
-            defects=tuple(setup.library),  # type: ignore[attr-defined]
-            bus=bus,
-            seed=getattr(getattr(setup, "library", None), "seed", None),
-            **kwargs,  # type: ignore[arg-type]
-        )
 
     def build_engine(self) -> SimulationEngine:
         """Rebuild the simulation engine this spec describes.
@@ -317,22 +292,15 @@ class CampaignSpec:
         fingerprint = None
         if store is not None:
             fingerprint = self.fingerprint()
-            entry = store.load(fingerprint, self.checkpoint_interval)
+            entry = store.load(fingerprint)
             if entry is not None:
                 capture = entry.capture
                 verdicts = entry.verdicts
         if capture is None:
-            capture = capture_golden_with_trace(
-                self.program,
-                self.bus,
-                interval=self.checkpoint_interval,
-                core=self.core,
-            )
+            capture = capture_golden_with_trace(self.program, self.bus)
             if store is not None:
                 try:
-                    store.store(
-                        fingerprint, self.checkpoint_interval, self.bus, capture
-                    )
+                    store.store(fingerprint, self.bus, capture)
                 except (golden_cache.CacheError, OSError) as error:
                     logger.warning("golden cache store failed: %s", error)
         engine = make_engine(
@@ -341,9 +309,6 @@ class CampaignSpec:
             self.params,
             self.calibration,
             self.bus,
-            checkpoint_interval=self.checkpoint_interval,
-            screen_backend=self.screen_backend,
-            core=self.core,
             capture=capture,
             verdicts=verdicts,
         )
@@ -356,11 +321,7 @@ class CampaignSpec:
             ) -> None:
                 try:
                     _store.merge_verdicts(
-                        _fingerprint,
-                        self.checkpoint_interval,
-                        self.bus,
-                        _capture,
-                        all_verdicts,
+                        _fingerprint, self.bus, _capture, all_verdicts
                     )
                 except (golden_cache.CacheError, OSError) as error:
                     logger.warning(
@@ -376,7 +337,7 @@ class CampaignSpec:
         Two specs share a fingerprint iff they provably produce the
         same outcome per defect: same program image and entry, same
         bus, same electrical/threshold configuration, same defect
-        slice.  Engine choice and tuning knobs are excluded (engines
+        slice.  Engine choice and the cache toggle are excluded (engines
         are outcome-identical), so a journal can be resumed under a
         different engine.
         """
@@ -455,7 +416,7 @@ class CampaignJournal:
 
     def _load(self) -> None:
         raw = self.path.read_bytes()
-        records: List[dict] = []
+        records: List[Tuple[int, dict]] = []  # (line number, payload)
         truncate_at: Optional[int] = None
         pos = 0
         lineno = 0
@@ -484,14 +445,14 @@ class CampaignJournal:
                     # journal exists to survive.  Drop it.
                     truncate_at = pos
                     break
-                records.append(payload)
+                records.append((lineno, payload))
             if newline == -1:
                 pos = size
             else:
                 pos = newline + 1
         if not records:
             raise JournalError(f"{self.path}: no journal header")
-        header = records[0]
+        header = records[0][1]
         if header.get("kind") != JOURNAL_KIND:
             raise JournalError(f"{self.path}: not a campaign journal")
         if header.get("version") != JOURNAL_VERSION:
@@ -505,17 +466,19 @@ class CampaignJournal:
                 "(fingerprint mismatch) — pass a fresh journal path or "
                 "drop --resume"
             )
-        for record in records[1:]:
-            if "i" not in record:
-                raise JournalError(
-                    f"{self.path}: malformed outcome record {record!r}"
+        for lineno, record in records[1:]:
+            try:
+                outcome = DetectionOutcome(
+                    defect_index=int(record["i"]),
+                    detected=bool(record["d"]),
+                    timed_out=bool(record["t"]),
+                    mismatches=int(record["m"]),
                 )
-            outcome = DetectionOutcome(
-                defect_index=int(record["i"]),
-                detected=bool(record["d"]),
-                timed_out=bool(record["t"]),
-                mismatches=int(record["m"]),
-            )
+            except (KeyError, TypeError, ValueError):
+                raise JournalError(
+                    f"{self.path}: malformed outcome record on line "
+                    f"{lineno}: {record!r}"
+                ) from None
             group = str(record.get("g", "campaign"))
             self._done.setdefault(group, {})[outcome.defect_index] = outcome
         if truncate_at is not None:

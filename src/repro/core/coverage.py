@@ -78,16 +78,12 @@ class DefectSimulator:
         paper injects defects per bus: "we only consider crosstalk within
         the same bus").
     engine:
-        ``"exact"`` (default) replays every defect in full;
-        ``"screened"`` screens the library against the golden bus trace
-        and replays only defects that provably diverge, fast-forwarded
-        from the last clean checkpoint (see :mod:`repro.core.engine`).
+        ``"screened"`` (default) screens the library against the golden
+        bus trace and replays only defects that provably diverge,
+        fast-forwarded from the last clean checkpoint (see
+        :mod:`repro.core.engine`); ``"exact"`` replays every defect in
+        full and is the oracle the screened engine is tested against.
         Both produce identical :class:`DetectionOutcome` values.
-    checkpoint_interval / screen_backend:
-        Tuning knobs of the screened engine (ignored by ``"exact"``).
-    core:
-        CPU implementation (``"micro"`` / ``"fast"`` / ``"auto"``; see
-        :func:`repro.cpu.microcode.resolve_core`).
     """
 
     def __init__(
@@ -96,10 +92,7 @@ class DefectSimulator:
         params: ElectricalParams,
         calibration: Calibration,
         bus: str = "addr",
-        engine: str = "exact",
-        checkpoint_interval: Optional[int] = None,
-        screen_backend: str = "auto",
-        core: str = "auto",
+        engine: str = "screened",
     ):
         if bus not in ("addr", "data"):
             raise ValueError("bus must be 'addr' or 'data'")
@@ -110,18 +103,8 @@ class DefectSimulator:
         self.calibration = calibration
         self.bus = bus
         self.engine_name = engine
-        self.checkpoint_interval = checkpoint_interval
-        self.screen_backend = screen_backend
-        self.core = core
         self.engine: SimulationEngine = make_engine(
-            engine,
-            program,
-            params,
-            calibration,
-            bus,
-            checkpoint_interval=checkpoint_interval,
-            screen_backend=screen_backend,
-            core=core,
+            engine, program, params, calibration, bus
         )
         self.golden: GoldenReference = self.engine.golden
 
@@ -136,10 +119,7 @@ class DefectSimulator:
             defects=tuple(library),
             bus=self.bus,
             engine=self.engine_name,
-            checkpoint_interval=self.checkpoint_interval,
-            screen_backend=self.screen_backend,
             label=label,
-            core=self.core,
         )
 
     def simulate(self, defect: Defect) -> DetectionOutcome:
@@ -235,13 +215,11 @@ def address_bus_line_coverage(
     calibration: Calibration,
     builder: Optional[SelfTestProgramBuilder] = None,
     full_program: Optional[SelfTestProgram] = None,
-    engine: str = "exact",
-    screen_backend: str = "auto",
+    engine: str = "screened",
     workers: int = 1,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
-    core: str = "auto",
 ) -> CoverageReport:
     """Reproduce Fig. 11: per-interconnect and cumulative coverage.
 
@@ -289,9 +267,7 @@ def address_bus_line_coverage(
                     defects=tuple(library),
                     bus="addr",
                     engine=engine,
-                    screen_backend=screen_backend,
                     label=f"line{victim + 1}",
-                    core=core,
                 )
                 result = CampaignRunner(
                     spec,
@@ -326,9 +302,7 @@ def address_bus_line_coverage(
                 defects=tuple(library),
                 bus="addr",
                 engine=engine,
-                screen_backend=screen_backend,
                 label="full",
-                core=core,
             )
             result = CampaignRunner(
                 spec,

@@ -17,8 +17,8 @@ values; *how* a defect is judged is an engine concern:
     1. captures the golden run **once** with the full transaction trace
        of the bus under test and periodic :class:`SystemSnapshot`
        checkpoints,
-    2. screens the whole library against that trace in one (optionally
-       vectorized) pass,
+    2. screens the whole library against that trace in one vectorized
+       pass,
     3. skips simulation entirely for defects whose trace is clean
        (provably undetected — outcome identical to fault-free),
     4. *dedups* the rest by replay behavior: every real replay records
@@ -124,7 +124,6 @@ def capture_golden_with_trace(
     bus: str,
     interval: Optional[int] = None,
     base_image: Optional[bytes] = None,
-    core: str = "auto",
 ) -> GoldenCapture:
     """Run ``program`` fault-free, recording trace and checkpoints.
 
@@ -136,10 +135,12 @@ def capture_golden_with_trace(
     ``interval`` is the checkpoint spacing in cycles;
     ``None`` derives it from the golden cycle count via
     :func:`auto_checkpoint_interval` (which costs one extra fault-free
-    run — negligible against a library-sized campaign).
+    run — negligible against a library-sized campaign).  Campaigns use
+    the derived spacing; tests pass an explicit one to exercise resume
+    from many checkpoints.
     """
     if interval is None:
-        probe = make_system(program, base_image, core=core)
+        probe = make_system(program, base_image)
         result = probe.run(entry=program.entry, max_cycles=10_000_000)
         if not result.halted:
             raise RuntimeError("golden run did not reach the halt convention")
@@ -148,7 +149,7 @@ def capture_golden_with_trace(
     if interval <= 0:
         raise ValueError("checkpoint interval must be positive")
 
-    system = make_system(program, base_image, core=core)
+    system = make_system(program, base_image)
     trace: List[BusTransaction] = []
     _bus_of(system, bus).add_observer(trace.append)
     system.reset(program.entry)
@@ -202,8 +203,7 @@ class ExactEngine(SimulationEngine):
     """One full replay per defect (the original simulator behavior).
 
     ``golden`` may be injected (e.g. from the golden-run artifact
-    cache, :mod:`repro.core.cache`) to skip the fault-free probe run;
-    ``core`` selects the CPU implementation for every replay.
+    cache, :mod:`repro.core.cache`) to skip the fault-free probe run.
     """
 
     name = "exact"
@@ -214,17 +214,15 @@ class ExactEngine(SimulationEngine):
         params: ElectricalParams,
         calibration: Calibration,
         bus: str,
-        core: str = "auto",
         golden: Optional[GoldenReference] = None,
     ):
         self.program = program
         self.params = params
         self.calibration = calibration
         self.bus = bus
-        self.core = core
         self._base_image = build_base_image(program)
         if golden is None:
-            probe = make_system(program, self._base_image, core=core)
+            probe = make_system(program, self._base_image)
             result = probe.run(entry=program.entry, max_cycles=10_000_000)
             if not result.halted:
                 raise RuntimeError(
@@ -240,7 +238,7 @@ class ExactEngine(SimulationEngine):
         self.last_model = None
 
     def check(self, defect: Defect) -> ResponseCheck:
-        system = make_system(self.program, self._base_image, core=self.core)
+        system = make_system(self.program, self._base_image)
         model = CrosstalkErrorModel(defect.caps, self.params, self.calibration)
         _bus_of(system, self.bus).install_corruption_hook(model.corrupt)
         result = system.run(
@@ -297,19 +295,12 @@ class ScreenedEngine(SimulationEngine):
 
     Parameters
     ----------
-    checkpoint_interval:
-        Golden checkpoint spacing in cycles (``None``: derived from the
-        golden cycle count).
-    screen_backend:
-        Passed to :class:`~repro.xtalk.screen.TraceScreen` (``"auto"``,
-        ``"numpy"`` or ``"python"``).
-    core:
-        CPU implementation for the capture and every replay.
     capture / verdicts:
-        Warm golden artifacts (e.g. from :mod:`repro.core.cache`).
-        With a ``capture`` the engine does zero golden simulation;
-        ``verdicts`` preloads screening results keyed by defect index,
-        so already-screened defects skip the screen too.
+        Golden artifacts (e.g. from :mod:`repro.core.cache`, or a
+        :func:`capture_golden_with_trace` with a chosen checkpoint
+        spacing).  With a ``capture`` the engine does zero golden
+        simulation; ``verdicts`` preloads screening results keyed by
+        defect index, so already-screened defects skip the screen too.
     """
 
     name = "screened"
@@ -320,9 +311,6 @@ class ScreenedEngine(SimulationEngine):
         params: ElectricalParams,
         calibration: Calibration,
         bus: str,
-        checkpoint_interval: Optional[int] = None,
-        screen_backend: str = "auto",
-        core: str = "auto",
         capture: Optional[GoldenCapture] = None,
         verdicts: Optional[Dict[int, ScreenVerdict]] = None,
     ):
@@ -330,20 +318,16 @@ class ScreenedEngine(SimulationEngine):
         self.params = params
         self.calibration = calibration
         self.bus = bus
-        self.core = core
         self._base_image = build_base_image(program)
         if capture is None:
             capture = capture_golden_with_trace(
-                program, bus, interval=checkpoint_interval,
-                base_image=self._base_image, core=core,
+                program, bus, base_image=self._base_image
             )
         self.capture = capture
         self.golden = capture.golden
         self.checkpoints = capture.checkpoints
-        self.screen = TraceScreen(
-            capture.trace, params, calibration, backend=screen_backend
-        )
-        self._scratch = make_system(program, self._base_image, core=core)
+        self.screen = TraceScreen(capture.trace, params, calibration)
+        self._scratch = make_system(program, self._base_image)
         self._verdicts: Dict[int, ScreenVerdict] = dict(verdicts or {})
         #: Optional write-back hook: called with the cumulative verdict
         #: map whenever :meth:`prepare` screens defects it did not
@@ -353,10 +337,6 @@ class ScreenedEngine(SimulationEngine):
         # most-recently-matched first (defect libraries cluster, so the
         # scan almost always hits the front entry).
         self._replay_classes: Dict[int, List[_ReplayClass]] = {}
-        # Vectorized agreement checks only when the screen itself runs
-        # vectorized, so backend="python" stays a genuine pure-Python
-        # configuration.
-        self._vector_match = self.screen.backend == "numpy"
         self.last_model = None
 
     # -- screening ----------------------------------------------------------
@@ -422,10 +402,7 @@ class ScreenedEngine(SimulationEngine):
         the vectorized :class:`DecisionEvaluator`; small maps and
         borderline comparisons use the scalar kernel.
         """
-        if (
-            self._vector_match
-            and len(known.decisions) >= VECTOR_MATCH_MIN_ENTRIES
-        ):
+        if len(known.decisions) >= VECTOR_MATCH_MIN_ENTRIES:
             if known.evaluator is None:
                 known.evaluator = DecisionEvaluator(
                     known.decisions, self.params, self.calibration,
@@ -511,9 +488,6 @@ def make_engine(
     params: ElectricalParams,
     calibration: Calibration,
     bus: str,
-    checkpoint_interval: Optional[int] = None,
-    screen_backend: str = "auto",
-    core: str = "auto",
     capture: Optional[GoldenCapture] = None,
     verdicts: Optional[Dict[int, ScreenVerdict]] = None,
 ) -> SimulationEngine:
@@ -531,19 +505,10 @@ def make_engine(
             params,
             calibration,
             bus,
-            core=core,
             golden=capture.golden if capture is not None else None,
         )
     return ScreenedEngine(
-        program,
-        params,
-        calibration,
-        bus,
-        checkpoint_interval=checkpoint_interval,
-        screen_backend=screen_backend,
-        core=core,
-        capture=capture,
-        verdicts=verdicts,
+        program, params, calibration, bus, capture=capture, verdicts=verdicts
     )
 
 

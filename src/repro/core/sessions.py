@@ -112,17 +112,17 @@ def session_coverage(
     params: ElectricalParams,
     calibration: Calibration,
     bus: str = "addr",
-    engine: str = "exact",
-    screen_backend: str = "auto",
+    engine: str = "screened",
     workers: int = 1,
 ) -> float:
     """Union defect coverage of every program in a session plan.
 
     A defect is covered when *any* session detects it (the tester runs
     every session; one failing signature fails the part).  ``engine``
-    selects the per-program simulation engine — ``"screened"`` pays off
-    here because each session program gets its own golden trace, and
-    defects clean on a session's trace skip that session's replay.
+    selects the per-program simulation engine; the default
+    ``"screened"`` pays off here because each session program gets its
+    own golden trace, and defects clean on a session's trace skip that
+    session's replay.
     ``workers`` shards each session's campaign over a process pool
     (see :mod:`repro.core.campaign`); the result is worker-independent.
     """
@@ -137,7 +137,6 @@ def session_coverage(
             defects=tuple(library),
             bus=bus,
             engine=engine,
-            screen_backend=screen_backend,
             label=f"session{session}",
         )
         detected |= run_campaign(spec, workers=workers).detected_set()

@@ -55,16 +55,14 @@ def build_base_image(program: SelfTestProgram) -> bytes:
 def make_system(
     program: SelfTestProgram,
     base_image: Optional[bytes] = None,
-    core: str = "auto",
 ) -> CpuMemorySystem:
     """A fresh system with ``program`` loaded (memory elsewhere is 0x00).
 
     ``base_image`` (from :func:`build_base_image`) skips the sparse
     image walk with one bulk memory restore — same result, built for
-    callers that create systems in a loop.  ``core`` selects the CPU
-    implementation (see :func:`repro.cpu.microcode.resolve_core`).
+    callers that create systems in a loop.
     """
-    system = CpuMemorySystem(memory_size=program.memory_size, core=core)
+    system = CpuMemorySystem(memory_size=program.memory_size)
     if base_image is not None:
         system.memory.restore(base_image)
     else:

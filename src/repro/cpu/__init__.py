@@ -13,13 +13,11 @@ from repro.cpu.registers import Flags, RegisterFile
 from repro.cpu.alu import AluResult, alu_add, alu_and, alu_asl, alu_asr, alu_sub
 from repro.cpu.control import ControlState, DecodedOp, decode_raw
 from repro.cpu.datapath import BusPort, Cpu
-from repro.cpu.microcode import CORES, MICROPROGRAMS, FastCpu, resolve_core
+from repro.cpu.microcode import MICROPROGRAMS, FastCpu
 
 __all__ = [
-    "CORES",
     "MICROPROGRAMS",
     "FastCpu",
-    "resolve_core",
     "Flags",
     "RegisterFile",
     "AluResult",

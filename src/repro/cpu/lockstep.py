@@ -1,9 +1,10 @@
 """Lockstep differential harness for the two CPU cores.
 
 :func:`run_lockstep` builds two identical :class:`CpuMemorySystem`
-instances — one on the FSM reference core (``micro``), one on the
-microprogram interpreter (``fast``) — loads the same memory image into
-both, and clocks them *one cycle at a time*, diffing after every cycle:
+instances — one with the FSM reference core (``micro``) swapped in by
+:func:`reference_system`, one on the microprogram interpreter
+(``fast``) every system runs — loads the same memory image into both,
+and clocks them *one cycle at a time*, diffing after every cycle:
 
 * every bus transaction either system emitted that cycle (both buses,
   full :class:`BusTransaction` equality — kind, direction, previous,
@@ -30,11 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional
 
+from repro.cpu.datapath import Cpu
 from repro.isa.instructions import MEMORY_SIZE
 from repro.soc.bus import BusTransaction, CorruptionHook
 from repro.soc.system import CpuMemorySystem
 
-__all__ = ["LockstepDivergence", "LockstepReport", "run_lockstep"]
+__all__ = [
+    "LockstepDivergence",
+    "LockstepReport",
+    "reference_system",
+    "run_lockstep",
+]
 
 
 class LockstepDivergence(AssertionError):
@@ -56,15 +63,26 @@ class LockstepReport:
     halted: bool
 
 
+def reference_system(memory_size: int = MEMORY_SIZE) -> CpuMemorySystem:
+    """A system running the FSM reference core instead of the fast one.
+
+    The FSM :class:`~repro.cpu.datapath.Cpu` drives the same
+    :class:`~repro.cpu.datapath.BusPort` interface as
+    :class:`~repro.cpu.microcode.FastCpu`, so swapping it in after
+    construction is all a reference run needs.
+    """
+    system = CpuMemorySystem(memory_size=memory_size)
+    system.cpu = Cpu(system)  # type: ignore[assignment]
+    return system
+
+
 def _build(
+    system: CpuMemorySystem,
     image: Mapping[int, int],
-    memory_size: int,
-    core: str,
     hook: Optional[CorruptionHook],
     hook_bus: str,
     log: List[BusTransaction],
 ) -> CpuMemorySystem:
-    system = CpuMemorySystem(memory_size=memory_size, core=core)
     system.load_image(image)
     if hook is not None:
         bus = system.address_bus if hook_bus == "addr" else system.data_bus
@@ -94,8 +112,13 @@ def run_lockstep(
         raise ValueError(f"hook_bus must be 'addr' or 'data', got {hook_bus!r}")
     reference_log: List[BusTransaction] = []
     fast_log: List[BusTransaction] = []
-    reference = _build(image, memory_size, "micro", hook, hook_bus, reference_log)
-    fast = _build(image, memory_size, "fast", hook, hook_bus, fast_log)
+    reference = _build(
+        reference_system(memory_size), image, hook, hook_bus, reference_log
+    )
+    fast = _build(
+        CpuMemorySystem(memory_size=memory_size), image, hook, hook_bus,
+        fast_log,
+    )
     reference.reset(entry)
     fast.reset(entry)
 

@@ -18,17 +18,15 @@ nibble (same bit layout as :meth:`repro.cpu.registers.Flags.as_mask`).
 
 The fast core is *bit-identical* to the FSM core: same bus transactions
 on the same cycles, same architectural state, same snapshots.  That
-contract is enforced by :mod:`repro.cpu.lockstep` (a differential
-harness that co-steps both cores) and by the tier-1 suite running under
-``REPRO_FAST_CORE=1``.  The FSM core stays as the readable reference
-model; core selection is :func:`resolve_core` (``micro`` / ``fast`` /
-``auto``, the latter honouring the ``REPRO_FAST_CORE`` environment
-variable and defaulting to ``fast``).
+contract is enforced by :mod:`repro.cpu.lockstep`, a differential
+harness that co-steps both cores.  Every
+:class:`~repro.soc.system.CpuMemorySystem` runs the fast core; the FSM
+core stays as the readable reference model the harness checks it
+against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.cpu.control import ControlState, DecodedOp, OpClass, decode_raw
@@ -38,19 +36,10 @@ from repro.isa.instructions import Mnemonic
 from repro.soc.bus import TransactionKind
 
 __all__ = [
-    "CORES",
     "FastCpu",
     "MICROPROGRAMS",
     "MicroProgram",
-    "resolve_core",
 ]
-
-#: Valid values for the ``core`` parameter threaded through
-#: :class:`~repro.soc.system.CpuMemorySystem` and the engine layer.
-CORES = ("micro", "fast", "auto")
-
-#: ``REPRO_FAST_CORE`` values that select the FSM reference core.
-_SLOW_TOKENS = ("0", "false", "no", "off", "micro")
 
 _PC_MASK = 0xFFF
 _AC_MASK = 0xFF
@@ -66,24 +55,6 @@ _FLAG_V = 8
 _FLAG_C = 4
 _FLAG_Z = 2
 _FLAG_N = 1
-
-
-def resolve_core(core: str = "auto") -> str:
-    """Resolve a core selector to a concrete core name.
-
-    ``micro`` is the FSM reference core, ``fast`` the microprogram
-    interpreter.  ``auto`` consults ``REPRO_FAST_CORE``: any of
-    ``0/false/no/off/micro`` selects the FSM core, everything else
-    (including unset) selects the fast core.
-    """
-    if core not in CORES:
-        raise ValueError(f"core must be one of {CORES}, got {core!r}")
-    if core != "auto":
-        return core
-    token = os.environ.get("REPRO_FAST_CORE", "").strip().lower()
-    if token in _SLOW_TOKENS:
-        return "micro"
-    return "fast"
 
 
 MicroOp = Callable[["FastCpu"], None]

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
 
 from repro.cpu.control import STATE_CATEGORIES
-from repro.cpu.datapath import BusPort, Cpu, CpuSnapshot
-from repro.cpu.microcode import FastCpu, resolve_core
+from repro.cpu.datapath import BusPort, CpuSnapshot
+from repro.cpu.microcode import FastCpu
 from repro.isa.instructions import ADDR_BITS, DATA_BITS, MEMORY_SIZE
 from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import Observability
@@ -74,11 +74,11 @@ class CpuMemorySystem(BusPort):
         Bus widths; defaults match the paper (12-bit address, 8-bit data).
     mmio_regions:
         Optional memory-mapped cores overriding parts of the address space.
-    core:
-        CPU implementation: ``"micro"`` (the readable FSM reference),
-        ``"fast"`` (the microprogram interpreter) or ``"auto"`` (honour
-        ``REPRO_FAST_CORE``; defaults to fast).  The cores are
-        bit-identical — see :mod:`repro.cpu.lockstep`.
+
+    The CPU is the microprogram interpreter
+    (:class:`~repro.cpu.microcode.FastCpu`).  It is bit-identical to the
+    readable FSM reference :class:`~repro.cpu.datapath.Cpu`, which
+    :mod:`repro.cpu.lockstep` swaps in to prove it.
     """
 
     def __init__(
@@ -87,14 +87,12 @@ class CpuMemorySystem(BusPort):
         addr_bits: int = ADDR_BITS,
         data_bits: int = DATA_BITS,
         mmio_regions: Optional[Sequence[MMIORegion]] = None,
-        core: str = "auto",
     ):
         self.address_bus = Bus("addr", addr_bits)
         self.data_bus = Bus("data", data_bits)
         self.memory = Memory(memory_size)
         self.mmio_regions: List[MMIORegion] = list(mmio_regions or [])
-        self.core = resolve_core(core)
-        self.cpu = FastCpu(self) if self.core == "fast" else Cpu(self)
+        self.cpu = FastCpu(self)
         self.cycle = 0
         self._pending_address = 0
 

@@ -21,8 +21,8 @@ logic back three consumers without drift:
 * ``CrosstalkErrorModel.explain`` — wire-by-wire diagnostics
   (:meth:`explain`), previously a copy of the Miller-weighting loop;
 * :class:`~repro.xtalk.screen.TraceScreen` — the whole-library trace
-  screen, whose pure-Python backend calls :meth:`corrupts` directly and
-  whose vectorized backend re-derives the same thresholds in bulk.
+  screen, whose scalar ``screen_one`` calls :meth:`corrupts` directly and
+  whose vectorized ``screen`` re-derives the same thresholds in bulk.
 """
 
 from __future__ import annotations

@@ -15,28 +15,28 @@ whose transition the defect's kernel corrupts.  Therefore:
 
 A :class:`TraceScreen` evaluates a whole
 :class:`~repro.xtalk.defects.DefectLibrary` against one captured trace
-in a single pass and returns, per defect, the index/cycle of its first
-corrupted transaction or a ``clean`` verdict.
+and returns, per defect, the index/cycle of its first corrupted
+transaction or a ``clean`` verdict.
 
-Two backends:
+:meth:`TraceScreen.screen` is vectorized: unique transitions are reduced
+to aggressor weight vectors once, per-defect thresholds (which only
+depend on each defect's capacitance matrix) are computed in bulk, and
+batched matrix products classify ``(defect, transition)`` pairs.  The
+unique transitions are scanned in blocks of increasing size, in
+first-occurrence order, and a defect retires at the first block that
+corrupts it; the first corrupted position inside that block is its
+verdict.  Because first occurrences increase along the unique list,
+this is the same verdict as a full scan, but most defects of a
+corrupting library never see the later blocks.  Comparisons use a small
+conservative epsilon band: a borderline margin is treated as
+*corrupting*, so a float summation-order difference against the scalar
+kernel can only cause a redundant replay, never a missed one.
 
-``"numpy"``
-    Vectorized: unique transitions are reduced to aggressor weight
-    vectors once; per-defect thresholds (which only depend on each
-    defect's capacitance matrix) are computed in bulk; one batched
-    matrix product classifies every ``(defect, transition)`` pair.
-    Comparisons use a small conservative epsilon band: a borderline
-    margin is treated as *corrupting*, so a float summation-order
-    difference against the scalar kernel can only cause a redundant
-    replay, never a missed one.  Verdicts therefore stay safe for the
-    screened engine's exactness contract.
-
-``"python"``
-    Pure-Python fallback: one shared-:class:`TransitionKernel` scan per
-    defect over the deduplicated transitions, in first-occurrence order
-    with early exit.  Bit-identical to the error model by construction.
-
-``"auto"`` picks numpy when it is importable, else the fallback.
+:meth:`TraceScreen.screen_one` is the scalar reference: one
+:class:`TransitionKernel` scan over the deduplicated transitions with
+early exit, bit-identical to the error model by construction.  The
+screened engine uses it for defects it was never asked to
+:meth:`~TraceScreen.screen` in bulk.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.soc.bus import BusDirection
 from repro.xtalk.calibration import Calibration
 from repro.xtalk.capacitance import CapacitanceSet
@@ -52,23 +54,18 @@ from repro.xtalk.defects import Defect
 from repro.xtalk.kernel import TransitionKernel
 from repro.xtalk.params import LN2, ElectricalParams
 
-try:  # numpy is an install dependency, but the screen must not require it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via backend="python"
-    _np = None
-
-BACKENDS = ("auto", "numpy", "python")
-
 #: Relative half-width of the borderline band around every threshold
-#: comparison in the vectorized backend.  float64 dot products over a
+#: comparison in the vectorized paths.  float64 dot products over a
 #: dozen terms are accurate to ~1e-15 relative, so 1e-9 is a generous
 #: safety margin while keeping spurious replays to (essentially) zero.
 EPSILON = 1e-9
 
+#: Unique transitions in the first screening block; each later block is
+#: twice the size of the one before, so a scan costs O(log U) passes.
+FIRST_BLOCK = 16
 
-def have_numpy() -> bool:
-    """True when the vectorized paths of this module are available."""
-    return _np is not None
+#: Bound on the elements of one ``[defects, block, wires]`` temporary.
+MAX_BLOCK_ELEMENTS = 8_000_000
 
 
 #: ``CapacitanceSet -> (coupling [n, n], ground [n])`` float64 arrays.
@@ -82,8 +79,8 @@ def _defect_arrays(caps: CapacitanceSet):
     cached = _DEFECT_ARRAY_CACHE.get(caps)
     if cached is None:
         cached = (
-            _np.array(caps.coupling, dtype=_np.float64),
-            _np.array(caps.ground, dtype=_np.float64),
+            np.array(caps.coupling, dtype=np.float64),
+            np.array(caps.ground, dtype=np.float64),
         )
         _DEFECT_ARRAY_CACHE[caps] = cached
     return cached
@@ -92,7 +89,7 @@ def _defect_arrays(caps: CapacitanceSet):
 def _margin_caps(params: ElectricalParams, calibration: Calibration):
     """Per-direction delay margins in the capacitance domain, ``[2]``
     (ordered CPU_TO_MEM, MEM_TO_CPU), plus the glitch scale factor."""
-    margin_cap = _np.array(
+    margin_cap = np.array(
         [
             calibration.margin_for(direction)
             / (LN2 * params.r_for(direction) * 1e-15)
@@ -127,7 +124,6 @@ class _TransitionFeatures:
     )
 
     def __init__(self, previous, driven, width: int):
-        np = _np
         bits = (1 << np.arange(width, dtype=np.int64))[None, :]
         changed = ((previous ^ driven)[:, None] & bits) != 0  # [T, n]
         high = (driven[:, None] & bits) != 0  # [T, n]
@@ -145,9 +141,9 @@ class _TransitionFeatures:
 
 
 def _direction_indices(directions: Sequence[BusDirection]):
-    return _np.array(
+    return np.array(
         [0 if d is BusDirection.CPU_TO_MEM else 1 for d in directions],
-        dtype=_np.int64,
+        dtype=np.int64,
     )
 
 
@@ -179,9 +175,6 @@ class DecisionEvaluator:
         calibration: Calibration,
         width: int,
     ):
-        if _np is None:
-            raise RuntimeError("DecisionEvaluator requires numpy")
-        np = _np
         self.calibration = calibration
         transitions = [t for t, _ in decisions]
         self._previous = np.array([t[0] for t in transitions], dtype=np.int64)
@@ -203,7 +196,6 @@ class DecisionEvaluator:
         when any comparison fell inside the borderline band and the
         scalar kernel must decide instead.
         """
-        np = _np
         f = self._features
         coupling, ground = _defect_arrays(caps)
         glitch_threshold = (
@@ -268,8 +260,6 @@ class TraceScreen:
     params / calibration:
         Electrical parameters and nominal-bus thresholds, shared with
         the error model so screen and replay agree.
-    backend:
-        ``"auto"`` (default), ``"numpy"`` or ``"python"``.
     """
 
     def __init__(
@@ -277,15 +267,7 @@ class TraceScreen:
         trace: Sequence[object],
         params: ElectricalParams,
         calibration: Calibration,
-        backend: str = "auto",
     ):
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
-        if backend == "numpy" and _np is None:
-            raise RuntimeError("numpy backend requested but numpy is missing")
-        if backend == "auto":
-            backend = "numpy" if _np is not None else "python"
-        self.backend = backend
         self.params = params
         self.calibration = calibration
         self.trace_length = len(trace)
@@ -298,7 +280,7 @@ class TraceScreen:
         uniques: List[Tuple[int, int, BusDirection]] = []
         first_occurrence: List[int] = []
         cycles: List[int] = []
-        seen = {}
+        seen = set()
         for index, transaction in enumerate(trace):
             previous = transaction.previous
             driven = transaction.driven
@@ -307,61 +289,50 @@ class TraceScreen:
             key = (previous, driven, transaction.direction)
             if key in seen:
                 continue
-            seen[key] = len(uniques)
+            seen.add(key)
             uniques.append(key)
             first_occurrence.append(index)
             cycles.append(transaction.cycle)
-        # Sorted by construction (first encounters are in trace order).
+        # Increasing by construction (first encounters are in trace
+        # order), which is what lets the block scan retire defects early.
         self._uniques = uniques
         self._first_occurrence = first_occurrence
         self._cycles = cycles
-        self._position_of = {
-            index: position for position, index in enumerate(first_occurrence)
-        }
-        self._numpy_state = None
+        self._features = None
 
     @property
     def unique_transitions(self) -> int:
         """Distinct corruptible transitions in the trace."""
         return len(self._uniques)
 
-    # -- public API ---------------------------------------------------------
+    def _verdict(self, defect: Defect, position: int) -> ScreenVerdict:
+        """Verdict for ``defect`` whose first corrupted unique is
+        ``position`` (``-1``: none)."""
+        if position < 0:
+            return ScreenVerdict(defect_index=defect.index, clean=True)
+        return ScreenVerdict(
+            defect_index=defect.index,
+            clean=False,
+            first_index=self._first_occurrence[position],
+            first_cycle=self._cycles[position],
+        )
 
-    def screen(self, defects: Iterable[Defect]) -> List[ScreenVerdict]:
-        """Evaluate every defect; one pass over the deduplicated trace."""
-        defects = list(defects)
-        if self.backend == "numpy":
-            return self._screen_numpy(defects)
-        return [self._screen_python(defect) for defect in defects]
+    # -- scalar reference ---------------------------------------------------
 
     def screen_one(self, defect: Defect) -> ScreenVerdict:
-        """Evaluate a single defect (scalar path regardless of backend)."""
-        return self._screen_python(defect)
-
-    # -- pure-Python backend ------------------------------------------------
-
-    def _screen_python(
-        self, defect: Defect, kernel: Optional[TransitionKernel] = None
-    ) -> ScreenVerdict:
-        kernel = kernel or TransitionKernel(
+        """Evaluate a single defect with the scalar kernel."""
+        corrupts = TransitionKernel(
             defect.caps, self.params, self.calibration
-        )
-        corrupts = kernel.corrupts
+        ).corrupts
         for position, (previous, driven, direction) in enumerate(self._uniques):
             if corrupts(previous, driven, direction):
-                return ScreenVerdict(
-                    defect_index=defect.index,
-                    clean=False,
-                    first_index=self._first_occurrence[position],
-                    first_cycle=self._cycles[position],
-                )
-        return ScreenVerdict(defect_index=defect.index, clean=True)
+                return self._verdict(defect, position)
+        return self._verdict(defect, -1)
 
-    # -- vectorized backend -------------------------------------------------
+    # -- vectorized library screen ------------------------------------------
 
-    def _prepare_numpy(self, width: int):
+    def _prepare(self, width: int):
         """Per-transition arrays, built once per screen instance."""
-        np = _np
         previous = np.array([u[0] for u in self._uniques], dtype=np.int64)
         driven = np.array([u[1] for u in self._uniques], dtype=np.int64)
         direction_index = _direction_indices([u[2] for u in self._uniques])
@@ -369,77 +340,63 @@ class TraceScreen:
         margin_cap, scale = _margin_caps(self.params, self.calibration)
         return direction_index, features, margin_cap, scale
 
-    def _screen_numpy(self, defects: List[Defect]) -> List[ScreenVerdict]:
-        np = _np
-        if not defects:
-            return []
-        if not self._uniques:
-            return [
-                ScreenVerdict(defect_index=d.index, clean=True) for d in defects
-            ]
+    def screen(self, defects: Iterable[Defect]) -> List[ScreenVerdict]:
+        """Evaluate every defect; one vectorized pass with early exit."""
+        defects = list(defects)
+        if not defects or not self._uniques:
+            return [self._verdict(defect, -1) for defect in defects]
         count = len(self._uniques)
         width = defects[0].caps.wire_count
-        if self._numpy_state is None:
-            self._numpy_state = self._prepare_numpy(width)
-        direction_index, f, margin_cap, scale = self._numpy_state
-        calibration = self.calibration
+        if self._features is None:
+            self._features = self._prepare(width)
+        direction_index, f, margin_cap, scale = self._features
 
-        first_occurrence = np.array(self._first_occurrence, dtype=np.int64)
-        sentinel = self.trace_length  # larger than any real index
+        arrays = [_defect_arrays(d.caps) for d in defects]
+        coupling = np.stack([a[0] for a in arrays])  # [D, n, n]
+        ground = np.stack([a[1] for a in arrays])  # [D, n]
+        glitch_threshold = (
+            self.calibration.v_th * (ground + coupling.sum(axis=2)) / scale
+        )  # [D, n]
+        eps_glitch = EPSILON * (np.abs(glitch_threshold) + 1.0)
+        slack = margin_cap[None, :, None] - ground[:, None, :]  # [D, 2, n]
 
-        # Chunk over defects to bound the [chunk, U, n] temporaries.
-        chunk = max(1, int(8_000_000 // max(1, count * width)))
-        verdicts: List[ScreenVerdict] = []
-        for start in range(0, len(defects), chunk):
-            batch = defects[start:start + chunk]
-            arrays = [_defect_arrays(d.caps) for d in batch]
-            coupling = np.stack([a[0] for a in arrays])  # [D, n, n]
-            ground = np.stack([a[1] for a in arrays])  # [D, n]
-            net = coupling.sum(axis=2)  # [D, n]
-            glitch_threshold = (
-                calibration.v_th * (ground + net) / scale
-            )  # [D, n]
-            slack = margin_cap[None, :, None] - ground[:, None, :]  # [D, 2, n]
-
-            load_rising = np.einsum(
-                "dij,uj->dui", coupling, f.weights_rising
-            )  # [D, U, n]
-            load_falling = np.einsum(
-                "dij,uj->dui", coupling, f.weights_falling
-            )
-            injected = np.einsum("dij,uj->dui", coupling, f.signed)
-
-            load = np.where(f.up_mask[None, :, :], load_rising, load_falling)
-            slack_by_direction = slack[:, direction_index, :]  # [D, U, n]
-            eps_delay = EPSILON * (np.abs(slack_by_direction) + 1.0)
-            delay_hit = f.switching_mask[None, :, :] & (
-                load - slack_by_direction > -eps_delay
-            )
-
-            polarity = np.where(f.high_mask[None, :, :], -injected, injected)
-            threshold = glitch_threshold[:, None, :]
-            eps_glitch = EPSILON * (np.abs(threshold) + 1.0)
-            glitch_hit = (~f.switching_mask)[None, :, :] & (
-                polarity - threshold > -eps_glitch
-            )
-
-            corrupted = (delay_hit | glitch_hit).any(axis=2)  # [D, U]
-            first = np.where(
-                corrupted, first_occurrence[None, :], sentinel
-            ).min(axis=1)
-            for defect, first_index in zip(batch, first.tolist()):
-                if first_index >= sentinel:
-                    verdicts.append(
-                        ScreenVerdict(defect_index=defect.index, clean=True)
-                    )
-                else:
-                    position = self._position_of[first_index]
-                    verdicts.append(
-                        ScreenVerdict(
-                            defect_index=defect.index,
-                            clean=False,
-                            first_index=first_index,
-                            first_cycle=self._cycles[position],
-                        )
-                    )
-        return verdicts
+        first = np.full(len(defects), -1, dtype=np.int64)
+        active = np.arange(len(defects))
+        start, block = 0, FIRST_BLOCK
+        while start < count and active.size:
+            stop = min(count, start + block)
+            rows = max(1, MAX_BLOCK_ELEMENTS // ((stop - start) * width))
+            up = f.up_mask[start:stop]
+            switching = f.switching_mask[start:stop]
+            high = f.high_mask[start:stop]
+            rising = f.weights_rising[start:stop]
+            falling = f.weights_falling[start:stop]
+            signed = f.signed[start:stop]
+            directions = direction_index[start:stop]
+            for lo in range(0, active.size, rows):
+                chunk = active[lo:lo + rows]
+                c = coupling[chunk]
+                # coupling is symmetric, so W @ coupling sums over
+                # neighbours j of victim i as the kernel's loop does.
+                load = np.where(
+                    up, np.matmul(rising, c), np.matmul(falling, c)
+                )  # [d, B, n]
+                slack_t = slack[chunk][:, directions, :]  # [d, B, n]
+                delay_hit = switching & (
+                    load - slack_t > -EPSILON * (np.abs(slack_t) + 1.0)
+                )
+                injected = np.matmul(signed, c)
+                polarity = np.where(high, -injected, injected)
+                glitch_hit = ~switching & (
+                    polarity - glitch_threshold[chunk][:, None, :]
+                    > -eps_glitch[chunk][:, None, :]
+                )
+                corrupted = (delay_hit | glitch_hit).any(axis=2)  # [d, B]
+                hit = corrupted.any(axis=1)
+                first[chunk[hit]] = start + corrupted[hit].argmax(axis=1)
+            active = active[first[active] < 0]
+            start, block = stop, 2 * block
+        return [
+            self._verdict(defect, position)
+            for defect, position in zip(defects, first.tolist())
+        ]

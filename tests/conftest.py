@@ -6,8 +6,6 @@ session-scoped: they are deterministic, and dozens of tests read them.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import (
@@ -26,21 +24,6 @@ def isolated_golden_cache(tmp_path, monkeypatch):
     ``.repro-cache``.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "golden-cache"))
-
-
-@pytest.fixture(scope="session")
-def campaign_engine():
-    """Engine the campaign-layer tests run on.
-
-    Defaults to ``exact``; CI sets ``REPRO_BENCH_ENGINE=screened`` for
-    one extra pass so the whole suite also exercises the screened
-    engine through the campaign layer (engines are outcome-identical,
-    so no expectation changes).
-    """
-    engine = os.environ.get("REPRO_BENCH_ENGINE", "exact")
-    if engine not in ("exact", "screened"):
-        raise RuntimeError(f"invalid REPRO_BENCH_ENGINE: {engine!r}")
-    return engine
 
 
 @pytest.fixture(scope="session")

@@ -90,6 +90,23 @@ def test_simulate_resume_requires_journal(capsys):
     assert "--journal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "fig11"])
+def test_resume_from_foreign_journal_is_a_usage_error(
+    tmp_path, capsys, command
+):
+    """A journal of another campaign: one stderr line and exit 2."""
+    journal = tmp_path / "foreign.jsonl"
+    journal.write_text(json.dumps({"kind": "something-else"}) + "\n")
+    assert main([
+        command, "--defects", "5", "--journal", str(journal), "--resume",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a campaign journal" in captured.err
+    assert "Traceback" not in captured.err
+    assert journal.read_text() == json.dumps({"kind": "something-else"}) + "\n"
+
+
 def test_fig11_small(capsys):
     assert main(["fig11", "--defects", "30"]) == 0
     out = capsys.readouterr().out

@@ -5,7 +5,7 @@ The load-bearing guarantees under test:
 * a :class:`CampaignSpec` is pure picklable data with a stable
   fingerprint (workers rebuild engines from it);
 * the process backend produces outcomes bit-identical to the serial
-  backend at any worker count;
+  backend at any worker count, under either engine;
 * the JSONL journal survives the interruptions it exists for — a
   truncated trailing line is repaired, anything worse is refused — and
   a resumed campaign's merged result is identical to an uninterrupted
@@ -14,6 +14,7 @@ The load-bearing guarantees under test:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
@@ -33,19 +34,19 @@ from repro.core.campaign import (
     make_backend,
     run_campaign,
 )
+from repro.core.engine import ENGINES
 from repro import obs
 from repro.obs import runtime as obs_runtime
 
 
 @pytest.fixture(scope="module")
-def spec(address_setup, address_program, campaign_engine):
+def spec(address_setup, address_program):
     return CampaignSpec(
         program=address_program,
         params=address_setup.params,
         calibration=address_setup.calibration,
         defects=tuple(address_setup.library),
         bus="addr",
-        engine=campaign_engine,
         label="test-campaign",
     )
 
@@ -270,6 +271,27 @@ class TestJournal:
         with pytest.raises(JournalError, match="different campaign"):
             CampaignJournal(path, "fp-two", resume=True)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"i": 3},
+            {"i": 3, "d": 1, "t": 0, "m": "x"},
+            {"i": "x", "d": 1, "t": 0, "m": 0},
+        ],
+        ids=["missing-fields", "non-integer-m", "non-integer-i"],
+    )
+    def test_malformed_record_is_refused(self, tmp_path, record):
+        path = tmp_path / "campaign.jsonl"
+        with CampaignJournal(path, "fp") as journal:
+            journal.record(_outcome(1))
+        with open(path, "a") as stream:
+            stream.write(json.dumps(record) + "\n")
+            stream.write(json.dumps(
+                {"g": "campaign", "i": 4, "d": 1, "t": 0, "m": 1}
+            ) + "\n")
+        with pytest.raises(JournalError, match="record on line 3"):
+            CampaignJournal(path, "fp", resume=True)
+
     def test_foreign_file_is_refused(self, tmp_path):
         path = tmp_path / "other.jsonl"
         path.write_text(json.dumps({"kind": "something-else"}) + "\n")
@@ -289,6 +311,26 @@ class TestJournal:
 
 
 class TestRunnerResume:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_serial_parallel_and_resumed(
+        self, spec, serial_outcomes, tmp_path, engine
+    ):
+        """Each engine, built through ``CampaignSpec.build_engine``,
+        matches the default serial run on one worker, on two, and after
+        a journal resume."""
+        engine_spec = dataclasses.replace(spec, engine=engine)
+        assert run_campaign(engine_spec).outcomes == serial_outcomes
+        pooled = run_campaign(engine_spec, workers=2)
+        assert pooled.outcomes == serial_outcomes
+        path = tmp_path / f"campaign-{engine}.jsonl"
+        journal = CampaignJournal(path, engine_spec.fingerprint())
+        for outcome in serial_outcomes[:25]:
+            journal.record(outcome, group=engine_spec.label)
+        journal.close()
+        resumed = run_campaign(engine_spec, journal=path, resume=True)
+        assert resumed.executed == len(spec.defects) - 25
+        assert resumed.outcomes == serial_outcomes
+
     def test_resume_requires_journal(self, spec):
         with pytest.raises(ValueError, match="requires a journal"):
             CampaignRunner(spec, resume=True)

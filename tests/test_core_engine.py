@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import default_bus_setup
+from repro.core.campaign import run_defects
 from repro.core.coverage import DefectSimulator
 from repro.core.engine import (
     ExactEngine,
@@ -49,20 +50,14 @@ def outcomes(program, setup, bus, **kwargs):
     return simulator.run_library(setup.library)
 
 
-@pytest.mark.parametrize("backend", ["python", "auto"])
-def test_screened_equals_exact_on_address_bus(
-    addr_program, addr_setup, backend
-):
-    exact = outcomes(addr_program, addr_setup, "addr")
-    screened = outcomes(
-        addr_program, addr_setup, "addr",
-        engine="screened", screen_backend=backend,
-    )
+def test_screened_equals_exact_on_address_bus(addr_program, addr_setup):
+    exact = outcomes(addr_program, addr_setup, "addr", engine="exact")
+    screened = outcomes(addr_program, addr_setup, "addr", engine="screened")
     assert screened == exact
 
 
 def test_screened_equals_exact_on_data_bus(data_program, data_setup):
-    exact = outcomes(data_program, data_setup, "data")
+    exact = outcomes(data_program, data_setup, "data", engine="exact")
     screened = outcomes(data_program, data_setup, "data", engine="screened")
     assert screened == exact
 
@@ -78,12 +73,19 @@ def test_screened_equals_exact_on_random_libraries(
 ):
     setup = default_bus_setup(12, defect_count=count, seed=seed)
     exact = DefectSimulator(
-        addr_program, setup.params, setup.calibration, bus="addr"
-    ).run_library(setup.library)
-    screened = DefectSimulator(
         addr_program, setup.params, setup.calibration, bus="addr",
-        engine="screened", checkpoint_interval=interval,
+        engine="exact",
     ).run_library(setup.library)
+    capture = None
+    if interval is not None:
+        capture = capture_golden_with_trace(
+            addr_program, "addr", interval=interval
+        )
+    engine = ScreenedEngine(
+        addr_program, setup.params, setup.calibration, "addr",
+        capture=capture,
+    )
+    screened = run_defects(engine, setup.library, "addr")
     assert screened == exact
 
 
@@ -92,13 +94,14 @@ def test_per_line_programs_equivalent(builder, addr_setup):
     faults = [f for f in builder.address_faults() if f.victim in (0, 5, 11)]
     program = builder.build_address_bus_program(faults)
     assert outcomes(program, addr_setup, "addr", engine="screened") == \
-        outcomes(program, addr_setup, "addr")
+        outcomes(program, addr_setup, "addr", engine="exact")
 
 
 def test_simulate_without_prepare(addr_program, addr_setup):
     """Single-defect path must screen lazily (no run_library batch)."""
     exact = DefectSimulator(
-        addr_program, addr_setup.params, addr_setup.calibration, bus="addr"
+        addr_program, addr_setup.params, addr_setup.calibration, bus="addr",
+        engine="exact",
     )
     screened = DefectSimulator(
         addr_program, addr_setup.params, addr_setup.calibration, bus="addr",
@@ -197,7 +200,7 @@ def test_replay_dedup_collapses_defect_classes(builder, addr_setup):
 
     faults = [f for f in builder.address_faults() if f.victim == 5]
     program = builder.build_address_bus_program(faults)
-    exact = outcomes(program, addr_setup, "addr")
+    exact = outcomes(program, addr_setup, "addr", engine="exact")
     simulator = DefectSimulator(
         program, addr_setup.params, addr_setup.calibration, bus="addr",
         engine="screened",
@@ -225,17 +228,13 @@ def test_vectorized_class_matching_equals_exact(
     builder, addr_setup, monkeypatch
 ):
     """Force DecisionEvaluator matching on every class; outcomes unchanged."""
-    pytest.importorskip("numpy")
     from repro.core import engine as engine_module
 
     monkeypatch.setattr(engine_module, "VECTOR_MATCH_MIN_ENTRIES", 1)
     faults = [f for f in builder.address_faults() if f.victim in (0, 7)]
     program = builder.build_address_bus_program(faults)
-    screened = outcomes(
-        program, addr_setup, "addr",
-        engine="screened", screen_backend="numpy",
-    )
-    assert screened == outcomes(program, addr_setup, "addr")
+    screened = outcomes(program, addr_setup, "addr", engine="screened")
+    assert screened == outcomes(program, addr_setup, "addr", engine="exact")
 
 
 def test_snapshot_refuses_mmio():

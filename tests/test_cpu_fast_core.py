@@ -10,50 +10,28 @@ properties of the compiled 256-entry microprogram table.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu import CORES, MICROPROGRAMS, Cpu, FastCpu, decode_raw, resolve_core
+from repro.cpu import MICROPROGRAMS, Cpu, FastCpu, decode_raw
 from repro.cpu.control import ControlState, expected_cycles
-from repro.cpu.lockstep import LockstepDivergence, run_lockstep
+from repro.cpu.lockstep import (
+    LockstepDivergence,
+    reference_system,
+    run_lockstep,
+)
 from repro.soc.system import CpuMemorySystem
 
 
-# ---------------------------------------------------------------- resolve
+# ---------------------------------------------------------------- systems
 
 
-def test_resolve_core_explicit():
-    assert resolve_core("micro") == "micro"
-    assert resolve_core("fast") == "fast"
-    assert resolve_core("auto") in ("micro", "fast")
-    with pytest.raises(ValueError):
-        resolve_core("turbo")
-
-
-def test_resolve_core_env(monkeypatch):
-    monkeypatch.delenv("REPRO_FAST_CORE", raising=False)
-    assert resolve_core("auto") == "fast"  # fast is the default
-    for value in ("0", "false", "no", "off", "micro"):
-        monkeypatch.setenv("REPRO_FAST_CORE", value)
-        assert resolve_core("auto") == "micro"
-    monkeypatch.setenv("REPRO_FAST_CORE", "1")
-    assert resolve_core("auto") == "fast"
-    # explicit selection wins over the environment
-    assert resolve_core("micro") == "micro"
-
-
-def test_core_constants():
-    assert CORES == ("micro", "fast", "auto")
-
-
-def test_system_core_selection(monkeypatch):
-    monkeypatch.delenv("REPRO_FAST_CORE", raising=False)
-    assert isinstance(CpuMemorySystem(core="fast").cpu, FastCpu)
-    assert isinstance(CpuMemorySystem(core="micro").cpu, Cpu)
-    assert isinstance(CpuMemorySystem(core="auto").cpu, FastCpu)
-    monkeypatch.setenv("REPRO_FAST_CORE", "0")
-    assert isinstance(CpuMemorySystem(core="auto").cpu, Cpu)
+def test_system_core_selection():
+    """Systems run the fast core; the lockstep module swaps in the FSM."""
+    assert isinstance(CpuMemorySystem().cpu, FastCpu)
+    reference = reference_system(memory_size=1024)
+    assert isinstance(reference.cpu, Cpu)
+    assert reference.memory.size == 1024
 
 
 # ---------------------------------------------------------------- table
@@ -140,18 +118,14 @@ def test_lockstep_divergence_is_assertion_error():
 def test_cross_core_snapshot_restore(address_program):
     """A mid-run FSM snapshot restores into the fast core and resumes
     to the identical final state (and vice versa)."""
-    reference = CpuMemorySystem(
-        memory_size=address_program.memory_size, core="micro"
-    )
+    reference = reference_system(address_program.memory_size)
     reference.load_image(address_program.image)
     reference.reset(address_program.entry)
     for _ in range(137):
         reference.step()
     frozen = reference.snapshot()
 
-    fast = CpuMemorySystem(
-        memory_size=address_program.memory_size, core="fast"
-    )
+    fast = CpuMemorySystem(memory_size=address_program.memory_size)
     fast.restore(frozen)
     assert fast.cpu.snapshot() == reference.cpu.snapshot()
 
@@ -166,9 +140,7 @@ def test_cross_core_snapshot_restore(address_program):
 
 def test_fast_registers_view(address_program):
     """The read-only register view matches the packed internal state."""
-    system = CpuMemorySystem(
-        memory_size=address_program.memory_size, core="fast"
-    )
+    system = CpuMemorySystem(memory_size=address_program.memory_size)
     system.load_image(address_program.image)
     system.reset(address_program.entry)
     for _ in range(200):

@@ -94,7 +94,7 @@ class TestCampaignComponentsPickle:
         assert clone.entry == address_program.entry
 
     def test_spec_round_trip_rebuilds_equivalent_engine(
-        self, address_setup, address_program, campaign_engine
+        self, address_setup, address_program
     ):
         spec = CampaignSpec(
             program=address_program,
@@ -102,7 +102,6 @@ class TestCampaignComponentsPickle:
             calibration=address_setup.calibration,
             defects=tuple(address_setup.library)[:5],
             bus="addr",
-            engine=campaign_engine,
         )
         clone = round_trip(spec)
         assert clone == spec

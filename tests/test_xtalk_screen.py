@@ -1,4 +1,4 @@
-"""TraceScreen: backend agreement, first-corruption exactness, dedup."""
+"""TraceScreen: batch vs scalar agreement, first-corruption exactness, dedup."""
 
 from dataclasses import dataclass
 
@@ -12,8 +12,8 @@ from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.geometry import BusGeometry
 from repro.xtalk.params import ElectricalParams
 from repro.xtalk.kernel import TransitionKernel
-from repro.xtalk.screen import DecisionEvaluator, TraceScreen, have_numpy
-from repro.xtalk import screen as screen_module
+from repro.core.engine import capture_golden_with_trace
+from repro.xtalk.screen import FIRST_BLOCK, DecisionEvaluator, TraceScreen
 
 WIDTH = 8
 ONES = (1 << WIDTH) - 1
@@ -67,23 +67,49 @@ def naive_first_corruption(trace, defect, params, calibration):
     return None
 
 
-def test_backends_agree(setup, trace):
-    _, params, calibration, library = setup
-    pytest.importorskip("numpy")
-    v_np = TraceScreen(trace, params, calibration, backend="numpy").screen(
-        library.defects
-    )
-    v_py = TraceScreen(trace, params, calibration, backend="python").screen(
-        library.defects
-    )
-    assert v_np == v_py
+def _block_of(position):
+    """Index of the screening block holding unique ``position``."""
+    start, size, block = 0, FIRST_BLOCK, 0
+    while position >= start + size:
+        start, size, block = start + size, 2 * size, block + 1
+    return block
 
 
-@pytest.mark.parametrize("backend", ["python", "auto"])
-def test_first_corruption_matches_error_model(setup, trace, backend):
+@pytest.mark.parametrize("bus", ["addr", "data"])
+def test_screen_matches_screen_one_on_program_traces(request, bus):
+    """The block scan retires each defect at its first corrupted unique.
+
+    Both program traces hold several blocks of unique transitions, and
+    the libraries retire defects in more than one of them, so a defect
+    retired in the wrong block or at the wrong offset shows up as a
+    verdict that differs from the scalar scan.
+    """
+    name = "address" if bus == "addr" else "data"
+    setup = request.getfixturevalue(f"{name}_setup")
+    program = request.getfixturevalue(f"{name}_program")
+    capture = capture_golden_with_trace(program, bus)
+    screen = TraceScreen(capture.trace, setup.params, setup.calibration)
+    assert screen.unique_transitions > 2 * FIRST_BLOCK
+    defects = setup.library.defects
+    verdicts = screen.screen(defects)
+    assert verdicts == [screen.screen_one(defect) for defect in defects]
+    positions = [
+        screen._first_occurrence.index(verdict.first_index)
+        for verdict in verdicts
+        if not verdict.clean
+    ]
+    assert len({_block_of(position) for position in positions}) >= 2
+
+
+@pytest.mark.parametrize("path", ["screen", "screen_one"])
+def test_first_corruption_matches_error_model(setup, trace, path):
     _, params, calibration, library = setup
-    screen = TraceScreen(trace, params, calibration, backend=backend)
-    for defect, verdict in zip(library, screen.screen(library.defects)):
+    screen = TraceScreen(trace, params, calibration)
+    if path == "screen":
+        verdicts = screen.screen(library.defects)
+    else:
+        verdicts = [screen.screen_one(defect) for defect in library]
+    for defect, verdict in zip(library, verdicts):
         expected = naive_first_corruption(trace, defect, params, calibration)
         assert verdict.defect_index == defect.index
         if expected is None:
@@ -132,12 +158,6 @@ def test_empty_trace_is_all_clean(setup):
     assert all(v.clean for v in screen.screen(library.defects))
 
 
-def test_bad_backend_rejected(setup):
-    _, params, calibration, _ = setup
-    with pytest.raises(ValueError):
-        TraceScreen([], params, calibration, backend="cuda")
-
-
 def recorded_decisions(trace, defect, params, calibration):
     """What a recorded replay would store: transition -> received word."""
     kernel = TransitionKernel(defect.caps, params, calibration)
@@ -152,8 +172,6 @@ def recorded_decisions(trace, defect, params, calibration):
 
 def test_decision_evaluator_matches_scalar_kernel(setup, trace):
     """agreement() must reproduce per-entry scalar kernel comparisons."""
-    pytest.importorskip("numpy")
-    assert have_numpy()
     _, params, calibration, library = setup
     recorder = library.defects[0]
     decisions = recorded_decisions(trace, recorder, params, calibration)
@@ -173,26 +191,3 @@ def test_decision_evaluator_matches_scalar_kernel(setup, trace):
     # The recording defect must agree with its own recorded decisions.
     self_agreement = evaluator.agreement(recorder.caps)
     assert self_agreement is None or bool(self_agreement.all())
-
-
-def test_decision_evaluator_requires_numpy(setup, trace, monkeypatch):
-    _, params, calibration, library = setup
-    decisions = recorded_decisions(
-        trace, library.defects[0], params, calibration
-    )
-    monkeypatch.setattr(screen_module, "_np", None)
-    assert not have_numpy()
-    with pytest.raises(RuntimeError):
-        DecisionEvaluator(decisions, params, calibration, WIDTH)
-
-
-def test_python_fallback_when_numpy_missing(setup, trace, monkeypatch):
-    _, params, calibration, library = setup
-    monkeypatch.setattr(screen_module, "_np", None)
-    screen = TraceScreen(trace, params, calibration, backend="auto")
-    assert screen.backend == "python"
-    with pytest.raises(RuntimeError):
-        TraceScreen(trace, params, calibration, backend="numpy")
-    assert screen.screen(library.defects[:5]) == [
-        screen.screen_one(d) for d in library.defects[:5]
-    ]
