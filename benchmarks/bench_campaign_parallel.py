@@ -1,7 +1,7 @@
 """Parallel campaign — the Fig. 11 sweep sharded over worker processes.
 
 Times the E4 per-line address-bus campaign through the campaign layer's
-process backend at each worker count in ``REPRO_BENCH_WORKERS``
+process pool at each worker count in ``REPRO_BENCH_WORKERS``
 (default 1, 2, 4) and — always, whatever the library size — asserts
 that every worker count produces a coverage report **bit-identical** to
 the serial exact engine (per-line detected sets included).  The
@@ -46,7 +46,7 @@ except AttributeError:  # non-Linux
 
 
 def _series(report):
-    """The backend-independent content of a coverage report."""
+    """The worker-independent content of a coverage report."""
     return [
         (line.line, line.individual, line.cumulative, frozenset(line.detected))
         for line in report.lines
@@ -108,7 +108,7 @@ def test_campaign_parallel(benchmark, address_setup, builder, tmp_path):
     emit(
         f"parallel campaign — E4 per-line sweep, {DEFECT_COUNT} defects, "
         f"exact engine, {AVAILABLE_CPUS} CPU(s) available",
-        format_table(("backend", "wall clock", "speedup vs serial"), rows),
+        format_table(("workers", "wall clock", "speedup vs serial"), rows),
     )
 
     # Time the fastest configuration for the pytest-benchmark record.

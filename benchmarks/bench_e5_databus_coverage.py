@@ -8,17 +8,19 @@ from conftest import emit, emit_records
 
 from repro.analysis.records import ExperimentRecord
 from repro.analysis.tables import format_table
-from repro.core.coverage import DefectSimulator
+from repro.core.campaign import CampaignSpec, run_campaign
 from repro.soc.bus import BusDirection
 
 
 def test_e5_databus_coverage(benchmark, data_setup, builder, data_program):
-    simulator = DefectSimulator(
-        data_program, data_setup.params, data_setup.calibration, bus="data"
+    spec = CampaignSpec(
+        data_program, data_setup.params, data_setup.calibration,
+        tuple(data_setup.library), "data",
     )
-    outcomes = benchmark.pedantic(
-        simulator.run_library, args=(data_setup.library,), rounds=1, iterations=1
+    result = benchmark.pedantic(
+        run_campaign, args=(spec,), rounds=1, iterations=1
     )
+    outcomes = result.outcomes
     detected = sum(1 for o in outcomes if o.detected)
     coverage = detected / len(outcomes)
 

@@ -13,7 +13,7 @@ from repro.bist.area import DEMONSTRATOR_SYSTEM_GATES, estimate_bist_area
 from repro.bist.controller import BistController
 from repro.bist.overtest import analyze_overtesting
 from repro.bist.pattern_gen import MAPatternGenerator
-from repro.core.coverage import DefectSimulator
+from repro.core.campaign import CampaignSpec, run_campaign
 from repro.core.signature import capture_golden
 from repro.core.program_builder import SelfTestProgram
 from repro.isa.assembler import assemble
@@ -47,10 +47,10 @@ def run_comparison(address_setup, address_program):
         generator, address_setup.params, address_setup.calibration
     )
     bist_coverage = controller.coverage(address_setup.library)
-    sbst = DefectSimulator(
-        address_program, address_setup.params, address_setup.calibration, "addr"
-    )
-    sbst_coverage = sbst.coverage(address_setup.library)
+    sbst_coverage = run_campaign(CampaignSpec(
+        address_program, address_setup.params, address_setup.calibration,
+        tuple(address_setup.library), "addr",
+    )).coverage()
     return controller, bist_coverage, sbst_coverage
 
 

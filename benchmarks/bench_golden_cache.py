@@ -52,7 +52,12 @@ def _timed_run(spec, workers=1):
     return result, elapsed, delta
 
 
-def test_golden_cache_warm_runs(benchmark, address_setup, address_program):
+def test_golden_cache_warm_runs(
+    benchmark, address_setup, address_program, tmp_path, monkeypatch
+):
+    # The cold run needs an empty cache: every campaign stores its entry,
+    # so an earlier benchmark over the same defects would make it warm.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "golden-cache"))
     spec = CampaignSpec(
         program=address_program,
         params=address_setup.params,

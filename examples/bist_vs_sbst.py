@@ -10,9 +10,10 @@ Run:  python examples/bist_vs_sbst.py
 """
 
 from repro import (
-    DefectSimulator,
+    CampaignSpec,
     SelfTestProgramBuilder,
     default_address_bus_setup,
+    run_campaign,
 )
 from repro.analysis.tables import format_table
 from repro.bist import (
@@ -57,11 +58,14 @@ def main():
     controller = BistController(generator, setup.params, setup.calibration)
     area = estimate_bist_area(12)
 
-    sbst = DefectSimulator(sbst_program, setup.params, setup.calibration, "addr")
+    sbst = run_campaign(CampaignSpec(
+        sbst_program, setup.params, setup.calibration, tuple(setup.library),
+        "addr",
+    ))
     rows = [
         ("defect coverage",
          f"{100 * controller.coverage(setup.library):.1f}%",
-         f"{100 * sbst.coverage(setup.library):.1f}%"),
+         f"{100 * sbst.coverage():.1f}%"),
         ("area overhead",
          f"{area.total:.0f} GE "
          f"({100 * area.total / DEMONSTRATOR_SYSTEM_GATES:.0f}% of CPU logic)",

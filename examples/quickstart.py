@@ -5,15 +5,17 @@ Walks the paper's whole flow on the demonstrator CPU-memory system:
 1. model the 12-bit address bus (geometry -> capacitances -> thresholds);
 2. generate a defect library (Gaussian perturbations beyond Cth);
 3. build the software self-test program (MA tests via LDA/STA sequences);
-4. simulate every defect and report coverage.
+4. simulate every defect and report coverage;
+5. judge one defect on its own.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import (
-    DefectSimulator,
+    CampaignSpec,
     SelfTestProgramBuilder,
     default_address_bus_setup,
+    run_campaign,
 )
 from repro.core.signature import capture_golden
 from repro.core.validate import validate_applied_tests
@@ -40,11 +42,20 @@ def main():
           f"{len(validation.confirmed)}/{len(program.applied)}")
 
     print("\n== 3. defect simulation ==")
-    simulator = DefectSimulator(
-        program, setup.params, setup.calibration, bus="addr"
+    spec = CampaignSpec(
+        program, setup.params, setup.calibration, tuple(setup.library), "addr"
     )
-    coverage = simulator.coverage(setup.library)
-    print(f"defect coverage: {100 * coverage:.1f}%")
+    result = run_campaign(spec)
+    print(f"defect coverage: {100 * result.coverage():.1f}% "
+          f"({result.detected}/{len(result.outcomes)}, "
+          f"{result.timeouts} hung the CPU)")
+
+    print("\n== 4. one defect ==")
+    severe = max(setup.library, key=lambda defect: defect.severity)
+    check = spec.build_engine().check(severe)
+    print(f"most severe defect #{severe.index}: "
+          f"{'detected' if check.detected else 'escaped'}"
+          f"{' (timed out)' if check.timed_out else ''}")
 
 
 if __name__ == "__main__":

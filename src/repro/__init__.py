@@ -7,17 +7,18 @@ Interconnect Crosstalk Defects Using On-Chip Embedded Processor Cores"
 Quickstart::
 
     from repro import (
-        SelfTestProgramBuilder, DefectSimulator,
-        default_address_bus_setup,
+        CampaignSpec, SelfTestProgramBuilder, default_address_bus_setup,
+        run_campaign,
     )
 
     setup = default_address_bus_setup()
-    builder = SelfTestProgramBuilder()
-    program = builder.build_address_bus_program()
-    simulator = DefectSimulator(
-        program, setup.params, setup.calibration, bus="addr"
+    program = SelfTestProgramBuilder().build_address_bus_program()
+    spec = CampaignSpec(
+        program, setup.params, setup.calibration, tuple(setup.library)
     )
-    print("coverage:", simulator.coverage(setup.library))
+    print("coverage:", run_campaign(spec).coverage())
+
+One defect at a time: ``spec.build_engine().check(defect)``.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every reproduced table and figure.
@@ -30,10 +31,8 @@ from repro.core import (
     AppliedTest,
     CampaignJournal,
     CampaignResult,
-    CampaignRunner,
     CampaignSpec,
     CoverageReport,
-    DefectSimulator,
     ExactEngine,
     FaultType,
     MAFault,
@@ -131,14 +130,12 @@ __all__ = [
     "Calibration",
     "CampaignJournal",
     "CampaignResult",
-    "CampaignRunner",
     "CampaignSpec",
     "CapacitanceSet",
     "CoverageReport",
     "CpuMemorySystem",
     "CrosstalkErrorModel",
     "DefectLibrary",
-    "DefectSimulator",
     "ElectricalParams",
     "ExactEngine",
     "FaultType",

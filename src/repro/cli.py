@@ -22,7 +22,6 @@ from typing import Callable, List, Optional
 
 from repro import (
     CampaignSpec,
-    DefectSimulator,
     SelfTestProgramBuilder,
     address_bus_line_coverage,
     default_bus_setup,
@@ -55,6 +54,19 @@ def _stderr_progress(label: str, every: int = 100) -> Callable[[int, int, int], 
             )
 
     return progress
+
+
+def _worker_count(text: str) -> int:
+    """``--workers`` value: an integer of at least 1 (else exit 2)."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
 
 
 def _build_program(bus: str, builder: Optional[SelfTestProgramBuilder] = None):
@@ -145,7 +157,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         bus=args.bus,
         engine=args.engine,
         label=f"simulate:{args.bus}",
-        use_cache=not args.no_cache,
     )
     # A metrics session makes the golden-cache behavior observable in
     # the output: warm runs report hits >= 1 and golden_cycles == 0.
@@ -174,7 +185,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             {
                 "bus": args.bus,
                 "engine": args.engine,
-                "backend": result.backend,
                 "workers": result.workers,
                 "defects": total,
                 "detected": detected,
@@ -192,7 +202,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     rows = [
         ("engine", args.engine),
-        ("backend / workers", f"{result.backend} / {result.workers}"),
+        ("workers", str(result.workers)),
         ("defects simulated", str(total)),
         ("resumed from journal", str(result.resumed)),
         ("detected", f"{detected} ({100 * detected / total:.1f}%)"),
@@ -461,13 +471,10 @@ def make_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=2001)
     simulate.add_argument("--engine", choices=("exact", "screened"),
                           default="screened", help=engine_help)
-    simulate.add_argument("--workers", type=int, default=1,
+    simulate.add_argument("--workers", type=_worker_count, default=1,
                           help=workers_help)
     simulate.add_argument("--journal", metavar="PATH", help=journal_help)
     simulate.add_argument("--resume", action="store_true", help=resume_help)
-    simulate.add_argument("--no-cache", action="store_true",
-                          help="skip the golden-run artifact cache and "
-                          "recapture the fault-free reference")
     simulate.add_argument("--json", action="store_true",
                           help="emit one machine-parseable JSON object on "
                           "stdout (progress stays on stderr)")
@@ -478,7 +485,8 @@ def make_parser() -> argparse.ArgumentParser:
     fig11.add_argument("--seed", type=int, default=2001)
     fig11.add_argument("--engine", choices=("exact", "screened"),
                        default="screened", help=engine_help)
-    fig11.add_argument("--workers", type=int, default=1, help=workers_help)
+    fig11.add_argument("--workers", type=_worker_count, default=1,
+                       help=workers_help)
     fig11.add_argument("--journal", metavar="PATH", help=journal_help)
     fig11.add_argument("--resume", action="store_true", help=resume_help)
     fig11.set_defaults(func=cmd_fig11)
@@ -501,7 +509,7 @@ def make_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=2001)
     profile.add_argument("--engine", choices=("exact", "screened"),
                          default="screened", help=engine_help)
-    profile.add_argument("--workers", type=int, default=1,
+    profile.add_argument("--workers", type=_worker_count, default=1,
                          help=workers_help + "; worker metrics are rolled "
                          "up into the single RunReport")
     profile.add_argument("--detail", choices=("metrics", "full"),

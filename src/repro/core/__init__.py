@@ -13,11 +13,15 @@ programs for the PARWAN-class CPU-memory system:
 * :mod:`repro.core.program_builder` — whole-program construction with
   address-conflict deferral;
 * :mod:`repro.core.sessions` — multi-session scheduling of deferred tests;
-* :mod:`repro.core.signature` — golden responses and detection checks;
+* :mod:`repro.core.signature` — golden responses, detection checks and
+  the golden-run cycle budget;
+* :mod:`repro.core.engine` — the exact and screened simulation engines;
+* :mod:`repro.core.cache` — the on-disk golden-run artifact cache;
 * :mod:`repro.core.campaign` — campaign orchestration: picklable specs,
-  serial/process execution backends, resumable JSONL outcome journals;
-* :mod:`repro.core.coverage` — defect-coverage aggregation (Fig. 9)
-  and coverage reporting (Fig. 11) on top of the campaign layer.
+  :func:`run_campaign` (serial or process pool), resumable JSONL
+  outcome journals;
+* :mod:`repro.core.coverage` — the Fig. 11 per-line coverage report on
+  top of the campaign layer.
 """
 
 from repro.core.maf import (
@@ -38,41 +42,28 @@ from repro.core.program_builder import (
 from repro.core.sessions import build_sessions, session_coverage
 from repro.core.signature import GoldenReference, capture_golden, check_response
 from repro.core.engine import (
-    ENGINES,
     ExactEngine,
     ScreenedEngine,
     SimulationEngine,
     capture_golden_with_trace,
-    make_engine,
 )
 from repro.core.cache import (
     CachedCampaign,
     CacheEntryInfo,
     CacheError,
     GoldenRunCache,
-    cache_enabled,
     cache_root,
     default_cache,
 )
 from repro.core.campaign import (
-    BACKENDS,
     CampaignJournal,
     CampaignResult,
-    CampaignRunner,
     CampaignSpec,
     DetectionOutcome,
-    ExecutionBackend,
     JournalError,
-    ProcessBackend,
-    SerialBackend,
-    make_backend,
     run_campaign,
 )
-from repro.core.coverage import (
-    CoverageReport,
-    DefectSimulator,
-    address_bus_line_coverage,
-)
+from repro.core.coverage import CoverageReport, address_bus_line_coverage
 from repro.core.diagnosis import DiagnosisReport, diagnose, diagnosis_accuracy
 from repro.core.validate import ValidationReport, validate_applied_tests
 
@@ -94,32 +85,22 @@ __all__ = [
     "GoldenReference",
     "capture_golden",
     "check_response",
-    "ENGINES",
     "ExactEngine",
     "ScreenedEngine",
     "SimulationEngine",
     "capture_golden_with_trace",
-    "make_engine",
     "CachedCampaign",
     "CacheEntryInfo",
     "CacheError",
     "GoldenRunCache",
-    "cache_enabled",
     "cache_root",
     "default_cache",
-    "BACKENDS",
     "CampaignJournal",
     "CampaignResult",
-    "CampaignRunner",
     "CampaignSpec",
-    "ExecutionBackend",
     "JournalError",
-    "ProcessBackend",
-    "SerialBackend",
-    "make_backend",
     "run_campaign",
     "CoverageReport",
-    "DefectSimulator",
     "DetectionOutcome",
     "address_bus_line_coverage",
     "DiagnosisReport",

@@ -1,8 +1,8 @@
 """Content-addressed on-disk cache of golden-run artifacts.
 
-Since PR 4, every :class:`~repro.core.campaign.CampaignSpec` can rebuild
-its engine from scratch — which each process-pool worker, each
-``--resume``, and each repeated CLI invocation did by re-simulating the
+Every :class:`~repro.core.campaign.CampaignSpec` rebuilds its engine
+from scratch — in each process-pool worker, each ``--resume``, and each
+repeated CLI invocation — which without a cache means re-simulating the
 entire golden run.  The golden artifacts are pure functions of the
 spec's :meth:`~repro.core.campaign.CampaignSpec.fingerprint` (program
 image + entry, electrical parameters, calibration, defect library, bus),
@@ -36,9 +36,8 @@ entry.  Invalidation is purely key-based: any input change moves the
 fingerprint, and :data:`FORMAT_VERSION` is folded into the key so
 layout changes orphan (rather than misread) old entries.
 
-Environment: ``REPRO_CACHE_DIR`` overrides the default ``.repro-cache``
-root; ``REPRO_GOLDEN_CACHE=0`` disables the cache entirely.  All
-operations count into ``coverage.engine.golden_cache.*`` when an
+The cache is always on.  ``REPRO_CACHE_DIR`` overrides the default
+``.repro-cache`` root.  All operations count into ``coverage.engine.golden_cache.*`` when an
 observability session is active.
 """
 
@@ -72,7 +71,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "FORMAT_VERSION",
     "GoldenRunCache",
-    "cache_enabled",
     "cache_root",
     "default_cache",
 ]
@@ -83,8 +81,6 @@ MAGIC = "repro-golden-cache"
 FORMAT_VERSION = 1
 DEFAULT_CACHE_DIR = ".repro-cache"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-ENV_CACHE_ENABLE = "REPRO_GOLDEN_CACHE"
-_DISABLE_TOKENS = ("0", "off", "false", "no")
 _SUFFIX = ".rgc"
 _COUNTER_PREFIX = "coverage.engine.golden_cache"
 
@@ -109,25 +105,17 @@ class CacheError(Exception):
     """A cache entry could not be encoded or decoded."""
 
 
-def cache_enabled() -> bool:
-    """Whether the golden-run cache is enabled (``REPRO_GOLDEN_CACHE``)."""
-    token = os.environ.get(ENV_CACHE_ENABLE, "1").strip().lower()
-    return token not in _DISABLE_TOKENS
-
-
 def cache_root() -> Path:
     """The cache directory (``REPRO_CACHE_DIR`` or ``.repro-cache``)."""
     return Path(os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR)
 
 
-def default_cache() -> Optional["GoldenRunCache"]:
-    """The environment-configured cache, or ``None`` when disabled.
+def default_cache() -> "GoldenRunCache":
+    """The cache at :func:`cache_root`.
 
     Reads the environment at call time so tests and workers can point
     ``REPRO_CACHE_DIR`` somewhere hermetic.
     """
-    if not cache_enabled():
-        return None
     return GoldenRunCache(cache_root())
 
 

@@ -1,4 +1,4 @@
-"""Campaign orchestration: specs, execution backends, durable journals.
+"""Campaign orchestration: specs, the campaign loop, durable journals.
 
 The paper's Fig. 11 experiments are defect *campaigns* — thousands of
 independent per-defect simulations whose :class:`DetectionOutcome`\\ s are
@@ -10,19 +10,18 @@ campaigns run on:
     program image, the electrical/threshold configuration, the defect
     slice, and the engine selection.  A spec is pure data — workers
     rebuild all live state (golden capture, screens, scratch systems)
-    from it via :meth:`CampaignSpec.build_engine`, so nothing with an
-    open handle or an installed bus hook ever crosses a process
-    boundary.
+    from it via :meth:`CampaignSpec.build_engine`, the one place an
+    engine is built from a campaign's inputs, so nothing with an open
+    handle or an installed bus hook ever crosses a process boundary.
 
-Execution backends (:class:`SerialBackend`, :class:`ProcessBackend`)
-    One contract (:class:`ExecutionBackend.run`): judge the given
-    defects and return their outcomes.  The serial backend is the
-    in-process loop; the process backend shards the defect slice
-    round-robin over a :class:`~concurrent.futures.ProcessPoolExecutor`
-    and merges the shard results order-independently (outcomes carry
-    their defect index; the runner sorts).  Backends are
-    outcome-identical by construction: every defect is judged by an
-    engine built from the same spec, and engines are themselves
+:func:`run_campaign`
+    The one way to run a campaign.  It loads the journal, judges only
+    the defects not already journaled — in this process at
+    ``workers == 1``, else sharded round-robin over a
+    :class:`~concurrent.futures.ProcessPoolExecutor` — and returns a
+    :class:`CampaignResult` whose outcome list is bit-identical to an
+    uninterrupted serial run.  Every defect is judged by an engine
+    built from the same spec, and engines are themselves
     outcome-identical (see :mod:`repro.core.engine`).
 
 :class:`CampaignJournal`
@@ -34,12 +33,6 @@ Execution backends (:class:`SerialBackend`, :class:`ProcessBackend`)
     truncated or corrupt *trailing* line — the signature of a write cut
     short — by repairing the file before appending.
 
-:class:`CampaignRunner`
-    Ties the three together: resolves the backend, loads the journal,
-    runs only the defects not already journaled, and returns a
-    :class:`CampaignResult` whose outcome list is bit-identical to an
-    uninterrupted serial run.
-
 Observability: workers run under their own metrics-only session when
 the parent has one, and each finished shard's snapshot is rolled up
 into the parent registry (:func:`repro.obs.metrics.merge_snapshot`), so
@@ -48,10 +41,10 @@ one RunReport describes the whole parallel campaign.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -72,13 +65,12 @@ from typing import (
 
 from repro.core import cache as golden_cache
 from repro.core.engine import (
-    ENGINES,
+    ExactEngine,
+    ScreenedEngine,
     SimulationEngine,
     capture_golden_with_trace,
-    make_engine,
 )
 from repro.core.program_builder import SelfTestProgram
-from repro.core.signature import ResponseCheck
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import merge_snapshot
 from repro.xtalk.calibration import Calibration
@@ -107,58 +99,6 @@ class DetectionOutcome:
     mismatches: int
 
 
-# ---------------------------------------------------------------------------
-# Per-defect execution (the instrumented judgment shared by every backend)
-# ---------------------------------------------------------------------------
-
-
-def execute_defect(
-    engine: SimulationEngine, defect: Defect, bus: str
-) -> DetectionOutcome:
-    """Judge one defect on ``engine``; return its detection outcome.
-
-    Under an active observability session this also times the replay
-    (``coverage.defect.replay`` timer), tallies detection counters and
-    rolls the error model's verdict statistics into the session
-    registry; with observability off it is the bare replay.  (A
-    screened engine may judge a defect without running a model — its
-    screening decisions appear under ``coverage.engine.*`` instead.)
-    """
-    obs = obs_runtime.active()
-    if obs is None:
-        check: ResponseCheck = engine.check(defect)
-        return DetectionOutcome(
-            defect_index=defect.index,
-            detected=check.detected,
-            timed_out=check.timed_out,
-            mismatches=check.mismatches,
-        )
-    start = time.perf_counter_ns()
-    if obs.full_detail:
-        with obs.spans.span("defect", index=defect.index, bus=bus):
-            check = engine.check(defect)
-    else:
-        check = engine.check(defect)
-    registry = obs.registry
-    registry.timer("coverage.defect.replay").observe(
-        time.perf_counter_ns() - start
-    )
-    registry.counter("coverage.defects.simulated").inc()
-    if check.detected:
-        registry.counter("coverage.defects.detected").inc()
-    if check.timed_out:
-        registry.counter("coverage.defects.timeouts").inc()
-    if engine.last_model is not None:
-        for suffix, value in engine.last_model.stats().items():
-            registry.counter(f"xtalk.model.{suffix}").inc(value)
-    return DetectionOutcome(
-        defect_index=defect.index,
-        detected=check.detected,
-        timed_out=check.timed_out,
-        mismatches=check.mismatches,
-    )
-
-
 def run_defects(
     engine: SimulationEngine,
     defects: Iterable[Defect],
@@ -170,11 +110,17 @@ def run_defects(
 
     Batch-capable engines get one :meth:`SimulationEngine.prepare` call
     first (the screened engine vectorizes its whole screening pass
-    there).  An active observability session gets a
-    ``coverage.campaign`` span, a live ``coverage.campaign.progress``
-    gauge in [0, 1], and a DEBUG progress log line every
-    :data:`PROGRESS_LOG_EVERY` defects.  ``on_outcome`` fires after
-    every judged defect (the journal's append hook).
+    there).  ``on_outcome`` fires after every judged defect (the
+    journal's append hook).
+
+    Under an active observability session every judgment is timed
+    (``coverage.defect.replay``), tallied (``coverage.defects.*``) and
+    its error model's verdict statistics are rolled into
+    ``xtalk.model.*``; the loop gets a ``coverage.campaign`` span, a
+    live ``coverage.campaign.progress`` gauge in [0, 1], and a DEBUG
+    progress log line every :data:`PROGRESS_LOG_EVERY` defects.  (A
+    screened engine may judge a defect without running a model — its
+    screening decisions appear under ``coverage.engine.*`` instead.)
     """
     defects = list(defects)
     engine.prepare(defects)
@@ -185,7 +131,33 @@ def run_defects(
     detected = 0
     with obs_runtime.span("coverage.campaign", bus=bus, defects=total):
         for count, defect in enumerate(defects, start=1):
-            outcome = execute_defect(engine, defect, bus)
+            if obs is None:
+                check = engine.check(defect)
+            else:
+                start = time.perf_counter_ns()
+                if obs.full_detail:
+                    with obs.spans.span("defect", index=defect.index, bus=bus):
+                        check = engine.check(defect)
+                else:
+                    check = engine.check(defect)
+                registry = obs.registry
+                registry.timer("coverage.defect.replay").observe(
+                    time.perf_counter_ns() - start
+                )
+                registry.counter("coverage.defects.simulated").inc()
+                if check.detected:
+                    registry.counter("coverage.defects.detected").inc()
+                if check.timed_out:
+                    registry.counter("coverage.defects.timeouts").inc()
+                if engine.last_model is not None:
+                    for suffix, value in engine.last_model.stats().items():
+                        registry.counter(f"xtalk.model.{suffix}").inc(value)
+            outcome = DetectionOutcome(
+                defect_index=defect.index,
+                detected=check.detected,
+                timed_out=check.timed_out,
+                mismatches=check.mismatches,
+            )
             outcomes.append(outcome)
             if outcome.detected:
                 detected += 1
@@ -266,69 +238,57 @@ class CampaignSpec:
     bus: str = "addr"
     engine: str = "screened"
     label: str = "campaign"
-    use_cache: bool = True
 
     def __post_init__(self):
         if self.bus not in ("addr", "data"):
             raise ValueError("bus must be 'addr' or 'data'")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}")
+        if self.engine not in ("exact", "screened"):
+            raise ValueError("engine must be 'exact' or 'screened'")
 
     def build_engine(self) -> SimulationEngine:
         """Rebuild the simulation engine this spec describes.
 
-        This is the factory workers call after unpickling a spec.  With
-        ``use_cache`` (the default, unless ``REPRO_GOLDEN_CACHE=0``),
-        the golden capture and any screen verdicts come from the
+        This is the factory workers call after unpickling a spec.  The
+        golden capture and any screen verdicts come from the
         content-addressed artifact cache when warm — the engine then
         does *zero* golden simulation — and are stored on a miss so the
         next build (worker, resume, re-invocation) is warm.  Cache
         failures degrade to a plain rebuild: the cache can cost time,
         never correctness.
         """
-        store = golden_cache.default_cache() if self.use_cache else None
-        capture = None
+        store = golden_cache.default_cache()
+        fingerprint = self.fingerprint()
+        entry = store.load(fingerprint)
         verdicts: Optional[Dict[int, ScreenVerdict]] = None
-        fingerprint = None
-        if store is not None:
-            fingerprint = self.fingerprint()
-            entry = store.load(fingerprint)
-            if entry is not None:
-                capture = entry.capture
-                verdicts = entry.verdicts
-        if capture is None:
+        if entry is not None:
+            capture, verdicts = entry.capture, entry.verdicts
+        else:
             capture = capture_golden_with_trace(self.program, self.bus)
-            if store is not None:
-                try:
-                    store.store(fingerprint, self.bus, capture)
-                except (golden_cache.CacheError, OSError) as error:
-                    logger.warning("golden cache store failed: %s", error)
-        engine = make_engine(
-            self.engine,
-            self.program,
-            self.params,
-            self.calibration,
-            self.bus,
-            capture=capture,
-            verdicts=verdicts,
+            try:
+                store.store(fingerprint, self.bus, capture)
+            except (golden_cache.CacheError, OSError) as error:
+                logger.warning("golden cache store failed: %s", error)
+        if self.engine == "exact":
+            return ExactEngine(
+                self.program, self.params, self.calibration, self.bus,
+                golden=capture.golden,
+            )
+        engine = ScreenedEngine(
+            self.program, self.params, self.calibration, self.bus,
+            capture=capture, verdicts=verdicts,
         )
-        if store is not None and hasattr(engine, "screen_sink"):
-            def write_back(
-                all_verdicts: Dict[int, ScreenVerdict],
-                _store: "golden_cache.GoldenRunCache" = store,
-                _fingerprint: str = fingerprint,
-                _capture=capture,
-            ) -> None:
-                try:
-                    _store.merge_verdicts(
-                        _fingerprint, self.bus, _capture, all_verdicts
-                    )
-                except (golden_cache.CacheError, OSError) as error:
-                    logger.warning(
-                        "golden cache verdict write-back failed: %s", error
-                    )
 
-            engine.screen_sink = write_back
+        def write_back(all_verdicts: Dict[int, ScreenVerdict]) -> None:
+            try:
+                store.merge_verdicts(
+                    fingerprint, self.bus, capture, all_verdicts
+                )
+            except (golden_cache.CacheError, OSError) as error:
+                logger.warning(
+                    "golden cache verdict write-back failed: %s", error
+                )
+
+        engine.screen_sink = write_back
         return engine
 
     def fingerprint(self) -> str:
@@ -337,9 +297,8 @@ class CampaignSpec:
         Two specs share a fingerprint iff they provably produce the
         same outcome per defect: same program image and entry, same
         bus, same electrical/threshold configuration, same defect
-        slice.  Engine choice and the cache toggle are excluded (engines
-        are outcome-identical), so a journal can be resumed under a
-        different engine.
+        slice.  Engine choice is excluded (engines are outcome-identical),
+        so a journal can be resumed under a different engine.
         """
         return config_digest(
             self.params,
@@ -366,6 +325,11 @@ class JournalError(ValueError):
 
 JOURNAL_KIND = "repro-campaign-journal"
 JOURNAL_VERSION = 1
+
+
+def _is_flag(value: object) -> bool:
+    """A journaled boolean: the JSON integer 0 or 1, as written."""
+    return type(value) is int and value in (0, 1)
 
 
 class CampaignJournal:
@@ -467,18 +431,28 @@ class CampaignJournal:
                 "drop --resume"
             )
         for lineno, record in records[1:]:
-            try:
-                outcome = DetectionOutcome(
-                    defect_index=int(record["i"]),
-                    detected=bool(record["d"]),
-                    timed_out=bool(record["t"]),
-                    mismatches=int(record["m"]),
-                )
-            except (KeyError, TypeError, ValueError):
+            index, detected, timed_out, mismatches = (
+                record.get(key) for key in ("i", "d", "t", "m")
+            )
+            # Exactly the types the writer emits: a bool or a float would
+            # pass int()/bool() and load as a wrong outcome.
+            if not (
+                type(index) is int
+                and type(mismatches) is int
+                and mismatches >= 0
+                and _is_flag(detected)
+                and _is_flag(timed_out)
+            ):
                 raise JournalError(
                     f"{self.path}: malformed outcome record on line "
                     f"{lineno}: {record!r}"
-                ) from None
+                )
+            outcome = DetectionOutcome(
+                defect_index=index,
+                detected=bool(detected),
+                timed_out=bool(timed_out),
+                mismatches=mismatches,
+            )
             group = str(record.get("g", "campaign"))
             self._done.setdefault(group, {})[outcome.defect_index] = outcome
         if truncate_at is not None:
@@ -541,57 +515,51 @@ class CampaignJournal:
 
 
 # ---------------------------------------------------------------------------
-# Execution backends
+# Running a campaign
 # ---------------------------------------------------------------------------
 
 
-class ExecutionBackend:
-    """Judges a slice of a campaign's defects.
+@dataclass
+class CampaignResult:
+    """Merged outcome of one campaign run.
 
-    Contract: :meth:`run` returns one :class:`DetectionOutcome` per
-    given defect, each identical to what a fresh serial run of
-    ``spec.build_engine()`` would produce.  Outcome *order* is
-    backend-defined (the process backend yields shards as they
-    finish); callers that need determinism sort by ``defect_index`` —
-    :class:`CampaignRunner` does.  ``on_outcome`` must be called
-    exactly once per judged defect, in the parent process (it appends
-    to the journal, which workers must never touch).
+    ``outcomes`` is sorted by defect index and bit-identical to an
+    uninterrupted serial run of the same spec, whatever the worker
+    count or resume history that produced it.
     """
 
-    name: str
-    workers: int = 1
+    label: str
+    outcomes: List[DetectionOutcome]
+    executed: int
+    resumed: int
+    workers: int
 
-    def run(
-        self,
-        spec: CampaignSpec,
-        defects: Sequence[Defect],
-        on_outcome: Optional[Callable[[DetectionOutcome], None]] = None,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[DetectionOutcome]:
-        raise NotImplementedError
+    def detected_set(self) -> Set[int]:
+        """Indices of the defects the program detects."""
+        return {
+            outcome.defect_index
+            for outcome in self.outcomes
+            if outcome.detected
+        }
+
+    @property
+    def detected(self) -> int:
+        return sum(1 for outcome in self.outcomes if outcome.detected)
+
+    @property
+    def timeouts(self) -> int:
+        return sum(1 for outcome in self.outcomes if outcome.timed_out)
+
+    def coverage(self) -> float:
+        """Fraction of the campaign's defects detected."""
+        if not self.outcomes:
+            return 0.0
+        return self.detected / len(self.outcomes)
 
 
-class SerialBackend(ExecutionBackend):
-    """The in-process loop: one engine, defects judged in order."""
-
-    name = "serial"
-    workers = 1
-
-    def run(
-        self,
-        spec: CampaignSpec,
-        defects: Sequence[Defect],
-        on_outcome: Optional[Callable[[DetectionOutcome], None]] = None,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[DetectionOutcome]:
-        if not defects:
-            return []
-        engine = spec.build_engine()
-        return run_defects(
-            engine, defects, spec.bus, on_outcome=on_outcome,
-            progress=progress,
-        )
-
+#: Shards dealt per pool worker: enough slack for dynamic load balance
+#: without fragmenting the screened engine's batched screening pass.
+SHARDS_PER_WORKER = 4
 
 # Worker-process state, set once per worker by the pool initializer so
 # the spec is shipped (and the engine built) once per worker rather than
@@ -644,252 +612,50 @@ def _run_shard(
     return run_defects(_WORKER_ENGINE, defects, _WORKER_SPEC.bus), {}
 
 
-class ProcessBackend(ExecutionBackend):
-    """Shard the defect slice over a process pool; merge order-independently.
+def _run_pool(
+    spec: CampaignSpec,
+    positions: Sequence[int],
+    workers: int,
+    on_outcome: Optional[Callable[[DetectionOutcome], None]],
+    progress: Optional[ProgressCallback],
+) -> List[DetectionOutcome]:
+    """Shard ``positions`` over a process pool; outcomes in completion order.
 
-    Sharding is deterministic: the pending defects are dealt
-    round-robin into ``workers * SHARDS_PER_WORKER`` shards (striding
-    spreads expensive defect clusters across workers).  Each worker
-    builds its engine once (pool initializer), so shard count is a
-    load-balancing knob, not a setup-cost multiplier.  Outcomes arrive
-    in shard-completion order; they carry their defect index, so the
-    merged campaign result is independent of scheduling.
-
-    When the parent has an active observability session, each worker
-    runs its shards under a metrics-only session and the parent merges
-    every shard snapshot into its own registry — one RunReport for the
-    whole parallel campaign.
+    Sharding is deterministic: the positions are dealt round-robin into
+    ``workers * SHARDS_PER_WORKER`` shards (striding spreads expensive
+    defect clusters across workers).  Each worker builds its engine
+    once (pool initializer), so shard count is a load-balancing knob,
+    not a setup-cost multiplier.  ``on_outcome`` runs in this process
+    only: workers never touch the journal.
     """
-
-    name = "process"
-
-    #: Shards dealt per worker: enough slack for dynamic load balance
-    #: without fragmenting the screened engine's batched screening pass.
-    SHARDS_PER_WORKER = 4
-
-    def __init__(self, workers: Optional[int] = None):
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-
-    def run(
-        self,
-        spec: CampaignSpec,
-        defects: Sequence[Defect],
-        on_outcome: Optional[Callable[[DetectionOutcome], None]] = None,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[DetectionOutcome]:
-        defects = list(defects)
-        if not defects:
-            return []
-        position_of = {
-            defect.index: position
-            for position, defect in enumerate(spec.defects)
-        }
-        try:
-            positions = [position_of[defect.index] for defect in defects]
-        except KeyError as error:
-            raise ValueError(
-                f"defect {error.args[0]!r} is not part of the campaign spec"
-            ) from None
-        shard_count = min(
-            len(positions), self.workers * self.SHARDS_PER_WORKER
-        )
-        shards = [positions[s::shard_count] for s in range(shard_count)]
-        obs = obs_runtime.active()
-        collect = obs is not None
-        registry = obs_runtime.registry()
-        registry.counter("campaign.shards").inc(len(shards))
-        registry.gauge("campaign.workers").set(self.workers)
-        total = len(defects)
-        done = 0
-        detected = 0
-        outcomes: List[DetectionOutcome] = []
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, shard_count),
-            initializer=_init_worker,
-            initargs=(spec, collect),
-        ) as pool:
-            futures = [pool.submit(_run_shard, shard) for shard in shards]
-            for future in as_completed(futures):
-                shard_outcomes, snapshot = future.result()
-                if collect and snapshot:
-                    merge_snapshot(registry, snapshot)
-                for outcome in shard_outcomes:
-                    outcomes.append(outcome)
-                    done += 1
-                    if outcome.detected:
-                        detected += 1
-                    if on_outcome is not None:
-                        on_outcome(outcome)
-                if progress is not None:
-                    progress(done, total, detected)
-        return outcomes
-
-
-BACKENDS = ("serial", "process")
-
-
-def make_backend(
-    name: str, workers: Optional[int] = None
-) -> ExecutionBackend:
-    """Backend factory keyed by name (``"serial"`` / ``"process"``)."""
-    if name == "serial":
-        if workers not in (None, 1):
-            raise ValueError("the serial backend is single-worker")
-        return SerialBackend()
-    if name == "process":
-        return ProcessBackend(workers=workers)
-    raise ValueError(f"backend must be one of {BACKENDS}")
-
-
-# ---------------------------------------------------------------------------
-# The runner
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CampaignResult:
-    """Merged outcome of one campaign run.
-
-    ``outcomes`` is sorted by defect index and bit-identical to an
-    uninterrupted serial run of the same spec, whatever backend or
-    resume history produced it.
-    """
-
-    label: str
-    outcomes: List[DetectionOutcome]
-    executed: int
-    resumed: int
-    backend: str
-    workers: int
-
-    def detected_set(self) -> Set[int]:
-        """Indices of the defects the program detects."""
-        return {
-            outcome.defect_index
-            for outcome in self.outcomes
-            if outcome.detected
-        }
-
-    @property
-    def detected(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.detected)
-
-    @property
-    def timeouts(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.timed_out)
-
-    def coverage(self) -> float:
-        """Fraction of the campaign's defects detected."""
-        if not self.outcomes:
-            return 0.0
-        return self.detected / len(self.outcomes)
-
-
-class CampaignRunner:
-    """Run one :class:`CampaignSpec` on a backend, optionally journaled.
-
-    Parameters
-    ----------
-    spec:
-        The campaign to run.
-    backend:
-        A backend name (``"serial"`` / ``"process"``) or a ready
-        :class:`ExecutionBackend` instance.
-    workers:
-        Worker count for a named ``"process"`` backend (ignored when a
-        backend instance is supplied).
-    journal:
-        ``None``, a path (a :class:`CampaignJournal` is opened against
-        the spec's fingerprint and closed afterwards), or an open
-        journal shared with other runners (multi-program campaigns use
-        ``group`` to keep their records apart).
-    resume:
-        With a journal path: load existing records and skip every
-        already-judged defect.  Without a journal this is an error —
-        there is nothing to resume from.
-    group:
-        Journal record group (defaults to the spec label).
-    progress:
-        Optional :data:`ProgressCallback` for live reporting.
-    """
-
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        backend: Union[str, ExecutionBackend] = "serial",
-        workers: Optional[int] = None,
-        journal: Optional[Union[str, Path, CampaignJournal]] = None,
-        resume: bool = False,
-        group: Optional[str] = None,
-        progress: Optional[ProgressCallback] = None,
-    ):
-        self.spec = spec
-        if isinstance(backend, ExecutionBackend):
-            self.backend = backend
-        else:
-            self.backend = make_backend(backend, workers=workers)
-        if resume and journal is None:
-            raise ValueError("resume requires a journal")
-        self.journal = journal
-        self.resume = resume
-        self.group = group if group is not None else spec.label
-        self.progress = progress
-
-    def run(self) -> CampaignResult:
-        """Execute the campaign; return the merged, index-sorted result."""
-        journal = self.journal
-        owns_journal = False
-        if journal is not None and not isinstance(journal, CampaignJournal):
-            journal = CampaignJournal(
-                journal, self.spec.fingerprint(), resume=self.resume
-            )
-            owns_journal = True
-        try:
-            done: Dict[int, DetectionOutcome] = (
-                journal.done(self.group) if journal is not None else {}
-            )
-            pending = [
-                defect
-                for defect in self.spec.defects
-                if defect.index not in done
-            ]
-            resumed = [
-                done[defect.index]
-                for defect in self.spec.defects
-                if defect.index in done
-            ]
-            on_outcome = None
-            if journal is not None:
-                bound_journal = journal
-
-                def on_outcome(outcome: DetectionOutcome) -> None:
-                    bound_journal.record(outcome, self.group)
-
-            executed = self.backend.run(
-                self.spec, pending, on_outcome=on_outcome,
-                progress=self.progress,
-            )
-        finally:
-            if owns_journal and journal is not None:
-                journal.close()
-        outcomes = sorted(
-            resumed + executed, key=lambda outcome: outcome.defect_index
-        )
-        registry = obs_runtime.registry()
-        registry.counter("campaign.outcomes.executed").inc(len(executed))
-        registry.counter("campaign.outcomes.resumed").inc(len(resumed))
-        return CampaignResult(
-            label=self.spec.label,
-            outcomes=outcomes,
-            executed=len(executed),
-            resumed=len(resumed),
-            backend=self.backend.name,
-            workers=self.backend.workers,
-        )
+    shard_count = min(len(positions), workers * SHARDS_PER_WORKER)
+    shards = [positions[s::shard_count] for s in range(shard_count)]
+    collect = obs_runtime.active() is not None
+    registry = obs_runtime.registry()
+    registry.counter("campaign.shards").inc(len(shards))
+    registry.gauge("campaign.workers").set(workers)
+    total = len(positions)
+    detected = 0
+    outcomes: List[DetectionOutcome] = []
+    with ProcessPoolExecutor(
+        max_workers=min(workers, shard_count),
+        initializer=_init_worker,
+        initargs=(spec, collect),
+    ) as pool:
+        futures = [pool.submit(_run_shard, shard) for shard in shards]
+        for future in as_completed(futures):
+            shard_outcomes, snapshot = future.result()
+            if collect and snapshot:
+                merge_snapshot(registry, snapshot)
+            for outcome in shard_outcomes:
+                outcomes.append(outcome)
+                if outcome.detected:
+                    detected += 1
+                if on_outcome is not None:
+                    on_outcome(outcome)
+            if progress is not None:
+                progress(len(outcomes), total, detected)
+    return outcomes
 
 
 def run_campaign(
@@ -897,37 +663,82 @@ def run_campaign(
     workers: int = 1,
     journal: Optional[Union[str, Path, CampaignJournal]] = None,
     resume: bool = False,
-    group: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> CampaignResult:
-    """One-call campaign: serial at ``workers == 1``, process pool above."""
-    backend = "process" if workers > 1 else "serial"
-    runner = CampaignRunner(
-        spec,
-        backend=backend,
-        workers=workers if workers > 1 else None,
-        journal=journal,
-        resume=resume,
-        group=group,
-        progress=progress,
+    """Judge every defect of ``spec``; return the index-sorted result.
+
+    ``workers == 1`` runs the defects in this process on one engine;
+    above that they are sharded over a process pool (see
+    :func:`_run_pool`).  The outcomes are the same either way.
+
+    ``journal`` is ``None``, a path (a :class:`CampaignJournal` is
+    opened against the spec's fingerprint and closed afterwards), or an
+    open journal shared with other campaigns (multi-program campaigns
+    keep their records apart by ``spec.label``).  ``resume=True``
+    skips every defect the journal already holds; it requires a
+    journal.  ``progress`` is an optional :data:`ProgressCallback`.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if resume and journal is None:
+        raise ValueError("resume requires a journal")
+    owned: Optional[CampaignJournal] = None
+    if journal is not None and not isinstance(journal, CampaignJournal):
+        journal = owned = CampaignJournal(
+            journal, spec.fingerprint(), resume=resume
+        )
+    try:
+        done: Dict[int, DetectionOutcome] = (
+            journal.done(spec.label) if journal is not None else {}
+        )
+        pending = [
+            position
+            for position, defect in enumerate(spec.defects)
+            if defect.index not in done
+        ]
+        on_outcome: Optional[Callable[[DetectionOutcome], None]] = None
+        if journal is not None:
+            on_outcome = functools.partial(journal.record, group=spec.label)
+        if not pending:
+            executed: List[DetectionOutcome] = []
+        elif workers > 1:
+            executed = _run_pool(spec, pending, workers, on_outcome, progress)
+        else:
+            executed = run_defects(
+                spec.build_engine(),
+                [spec.defects[position] for position in pending],
+                spec.bus,
+                on_outcome=on_outcome,
+                progress=progress,
+            )
+    finally:
+        if owned is not None:
+            owned.close()
+    resumed = [
+        done[defect.index] for defect in spec.defects if defect.index in done
+    ]
+    outcomes = sorted(
+        resumed + executed, key=lambda outcome: outcome.defect_index
     )
-    return runner.run()
+    registry = obs_runtime.registry()
+    registry.counter("campaign.outcomes.executed").inc(len(executed))
+    registry.counter("campaign.outcomes.resumed").inc(len(resumed))
+    return CampaignResult(
+        label=spec.label,
+        outcomes=outcomes,
+        executed=len(executed),
+        resumed=len(resumed),
+        workers=workers,
+    )
 
 
 __all__ = [
-    "BACKENDS",
     "CampaignJournal",
     "CampaignResult",
-    "CampaignRunner",
     "CampaignSpec",
     "DetectionOutcome",
-    "ExecutionBackend",
     "JournalError",
-    "ProcessBackend",
-    "SerialBackend",
     "config_digest",
-    "execute_defect",
-    "make_backend",
     "run_campaign",
     "run_defects",
 ]

@@ -5,8 +5,8 @@ values; *how* a defect is judged is an engine concern:
 
 :class:`ExactEngine`
     One full cycle-accurate replay per defect with the crosstalk error
-    model installed on the bus under test — the original behavior of
-    :class:`~repro.core.coverage.DefectSimulator`.
+    model installed on the bus under test — the oracle every shortcut is
+    tested against.
 
 :class:`ScreenedEngine`
     Exploits the screening invariant (see :mod:`repro.xtalk.screen`):
@@ -39,8 +39,9 @@ values; *how* a defect is judged is an engine concern:
     through), and a resumed replay re-executes every cycle from a state
     the defective run provably shares.
 
-Engines do not do their own per-defect observability — the simulator
-remains the instrumented facade — but the screened engine counts its
+Engines do not do their own per-defect observability — the campaign
+loop (:func:`repro.core.campaign.run_defects`) does — but the screened
+engine counts its
 triage decisions (``coverage.engine.screened_clean`` /
 ``coverage.engine.replay_deduped`` / ``coverage.engine.replayed`` /
 ``coverage.engine.checkpoint_resumed``) through the null-safe registry
@@ -50,8 +51,9 @@ so campaign reports can show how much work screening saved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.core import signature
 from repro.core.program_builder import SelfTestProgram
 from repro.core.signature import (
     GoldenReference,
@@ -69,8 +71,6 @@ from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.kernel import TransitionKernel
 from repro.xtalk.params import ElectricalParams
 from repro.xtalk.screen import DecisionEvaluator, ScreenVerdict, TraceScreen
-
-ENGINES = ("exact", "screened")
 
 #: Bounds on the automatic checkpoint spacing (cycles).  The golden runs
 #: of per-line programs are well under 100 cycles, so the lower clamp
@@ -141,7 +141,9 @@ def capture_golden_with_trace(
     """
     if interval is None:
         probe = make_system(program, base_image)
-        result = probe.run(entry=program.entry, max_cycles=10_000_000)
+        result = probe.run(
+            entry=program.entry, max_cycles=signature.GOLDEN_CYCLE_BUDGET
+        )
         if not result.halted:
             raise RuntimeError("golden run did not reach the halt convention")
         _count_golden_cycles(result.cycles)
@@ -154,7 +156,8 @@ def capture_golden_with_trace(
     _bus_of(system, bus).add_observer(trace.append)
     system.reset(program.entry)
     checkpoints = [Checkpoint(cycle=0, snapshot=system.snapshot())]
-    while not system.cpu.halted and system.cycle < 10_000_000:
+    budget = signature.GOLDEN_CYCLE_BUDGET
+    while not system.cpu.halted and system.cycle < budget:
         system.step()
         if system.cycle % interval == 0 and not system.cpu.halted:
             checkpoints.append(
@@ -223,7 +226,9 @@ class ExactEngine(SimulationEngine):
         self._base_image = build_base_image(program)
         if golden is None:
             probe = make_system(program, self._base_image)
-            result = probe.run(entry=program.entry, max_cycles=10_000_000)
+            result = probe.run(
+                entry=program.entry, max_cycles=signature.GOLDEN_CYCLE_BUDGET
+            )
             if not result.halted:
                 raise RuntimeError(
                     "golden run did not reach the halt convention"
@@ -332,7 +337,9 @@ class ScreenedEngine(SimulationEngine):
         #: Optional write-back hook: called with the cumulative verdict
         #: map whenever :meth:`prepare` screens defects it did not
         #: already know (the cache layer uses this to persist verdicts).
-        self.screen_sink = None
+        self.screen_sink: Optional[
+            Callable[[Dict[int, ScreenVerdict]], None]
+        ] = None
         # first corrupted trace index -> replay behaviors seen so far,
         # most-recently-matched first (defect libraries cluster, so the
         # scan almost always hits the front entry).
@@ -482,38 +489,7 @@ class ScreenedEngine(SimulationEngine):
         return outcome
 
 
-def make_engine(
-    engine: str,
-    program: SelfTestProgram,
-    params: ElectricalParams,
-    calibration: Calibration,
-    bus: str,
-    capture: Optional[GoldenCapture] = None,
-    verdicts: Optional[Dict[int, ScreenVerdict]] = None,
-) -> SimulationEngine:
-    """Engine factory keyed by name (``"exact"`` / ``"screened"``).
-
-    ``capture``/``verdicts`` inject warm golden artifacts (from
-    :mod:`repro.core.cache`); with a capture neither engine simulates
-    the golden run.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}")
-    if engine == "exact":
-        return ExactEngine(
-            program,
-            params,
-            calibration,
-            bus,
-            golden=capture.golden if capture is not None else None,
-        )
-    return ScreenedEngine(
-        program, params, calibration, bus, capture=capture, verdicts=verdicts
-    )
-
-
 __all__ = [
-    "ENGINES",
     "Checkpoint",
     "GoldenCapture",
     "SimulationEngine",
@@ -521,5 +497,4 @@ __all__ = [
     "ScreenedEngine",
     "auto_checkpoint_interval",
     "capture_golden_with_trace",
-    "make_engine",
 ]

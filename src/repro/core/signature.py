@@ -23,6 +23,12 @@ from repro.soc.system import CpuMemorySystem
 TIMEOUT_FACTOR = 4
 TIMEOUT_SLACK = 2000
 
+#: Cycle budget of every fault-free (golden) run.  A program still
+#: running after this many cycles is a construction bug, reported as a
+#: ``RuntimeError``.  Callers read it at call time, so lowering this one
+#: attribute lowers it everywhere.
+GOLDEN_CYCLE_BUDGET = 10_000_000
+
 
 @dataclass(frozen=True)
 class GoldenReference:
@@ -80,7 +86,7 @@ def capture_golden(program: SelfTestProgram) -> GoldenReference:
         bug, not a test outcome.
     """
     system = make_system(program)
-    result = system.run(entry=program.entry, max_cycles=10_000_000)
+    result = system.run(entry=program.entry, max_cycles=GOLDEN_CYCLE_BUDGET)
     if not result.halted:
         raise RuntimeError("golden run did not reach the halt convention")
     return GoldenReference(

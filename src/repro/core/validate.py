@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Set, Tuple
 
 from repro.core.maf import MAFault, ma_vector_pair
+from repro.core import signature
 from repro.core.program_builder import SelfTestProgram
 from repro.core.signature import make_system
 from repro.soc.bus import BusDirection
@@ -42,9 +43,9 @@ class ValidationReport:
 
 
 def observed_transitions(
-    program: SelfTestProgram, max_cycles: int = 10_000_000
+    program: SelfTestProgram,
 ) -> Tuple[Set[tuple], Set[tuple], bool, int]:
-    """Trace one fault-free run.
+    """Trace one fault-free run within the golden cycle budget.
 
     Returns ``(address transitions, data transitions, halted, cycles)``
     where address transitions are ``(v1, v2)`` pairs and data transitions
@@ -52,7 +53,9 @@ def observed_transitions(
     """
     system = make_system(program)
     tracer = BusTracer([system.address_bus, system.data_bus])
-    result = system.run(entry=program.entry, max_cycles=max_cycles)
+    result = system.run(
+        entry=program.entry, max_cycles=signature.GOLDEN_CYCLE_BUDGET
+    )
     address_transitions = {
         (t.previous, t.driven) for t in tracer.on_bus("addr")
     }

@@ -11,9 +11,8 @@ the receiver samples wrongly:
 * a *switching* wire is sampled at its old value if its Miller-weighted
   coupling load exceeds the per-direction delay slack.
 
-The kernel is **pure**: :meth:`decide`, :meth:`corrupts` and
-:meth:`explain` depend only on the constructor arguments and their
-parameters, and mutate nothing.  This is what lets the same decision
+The kernel is **pure**: :meth:`decide` and :meth:`explain` depend only
+on the constructor arguments and their parameters, and mutate nothing.  This is what lets the same decision
 logic back three consumers without drift:
 
 * :class:`~repro.xtalk.error_model.CrosstalkErrorModel` — the bus
@@ -21,7 +20,7 @@ logic back three consumers without drift:
 * ``CrosstalkErrorModel.explain`` — wire-by-wire diagnostics
   (:meth:`explain`), previously a copy of the Miller-weighting loop;
 * :class:`~repro.xtalk.screen.TraceScreen` — the whole-library trace
-  screen, whose scalar ``screen_one`` calls :meth:`corrupts` directly and
+  screen, whose scalar ``screen_one`` calls :meth:`decide` directly and
   whose vectorized ``screen`` re-derives the same thresholds in bulk.
 """
 
@@ -146,48 +145,6 @@ class TransitionKernel:
                         received |= bit  # positive glitch on stable 0
                         glitch_flips += 1
         return received, glitch_flips, delay_flips
-
-    def corrupts(
-        self, previous: int, driven: int, direction: BusDirection
-    ) -> bool:
-        """True iff the transition corrupts at least one wire.
-
-        Early-exit variant of :meth:`decide` for screening: returns as
-        soon as the first wire error is found.
-        """
-        if previous == driven:
-            return False
-        changed = previous ^ driven
-        neighbours = self.neighbours
-        delay_slack = self.delay_slack[direction]
-        glitch_threshold = self.glitch_threshold
-        for i in range(self.width):
-            bit = 1 << i
-            if changed & bit:
-                load = 0.0
-                rising = driven & bit
-                for j, bitj, cc in neighbours[i]:
-                    if changed & bitj:
-                        if bool(driven & bitj) != bool(rising):
-                            load += cc + cc
-                    else:
-                        load += cc
-                if load > delay_slack[i]:
-                    return True
-            else:
-                injected = 0.0
-                for j, bitj, cc in neighbours[i]:
-                    if changed & bitj:
-                        if driven & bitj:
-                            injected += cc
-                        else:
-                            injected -= cc
-                if driven & bit:
-                    if -injected > glitch_threshold[i]:
-                        return True
-                elif injected > glitch_threshold[i]:
-                    return True
-        return False
 
     # -- diagnostics --------------------------------------------------------
 

@@ -321,11 +321,11 @@ class TraceScreen:
 
     def screen_one(self, defect: Defect) -> ScreenVerdict:
         """Evaluate a single defect with the scalar kernel."""
-        corrupts = TransitionKernel(
+        decide = TransitionKernel(
             defect.caps, self.params, self.calibration
-        ).corrupts
+        ).decide
         for position, (previous, driven, direction) in enumerate(self._uniques):
-            if corrupts(previous, driven, direction):
+            if decide(previous, driven, direction)[0] != driven:
                 return self._verdict(defect, position)
         return self._verdict(defect, -1)
 

@@ -38,7 +38,6 @@ def test_simulate_json_stdout_is_machine_parseable(capsys):
     payload = json.loads(captured.out)  # whole stdout must parse
     assert payload["defects"] == 20
     assert payload["detected"] == 20
-    assert payload["backend"] == "process"
     assert payload["workers"] == 2
     assert "defects" in captured.err  # progress went to stderr
 
@@ -52,13 +51,12 @@ def test_simulate_workers_match_serial(capsys):
             "--workers", workers, "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        # Backend/worker and cache-telemetry fields legitimately differ
-        # (the second run is warm); everything the campaign *computed*
-        # must not.
+        # Worker and cache-telemetry fields legitimately differ (the
+        # second run is warm); everything the campaign *computed* must
+        # not.
         outputs[workers] = {
             key: value for key, value in payload.items()
-            if key not in ("backend", "workers", "golden_cache",
-                           "golden_cycles")
+            if key not in ("workers", "golden_cache", "golden_cycles")
         }
     assert outputs["1"] == outputs["2"]
 
@@ -138,6 +136,22 @@ def test_build_hex_export(tmp_path, capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         make_parser().parse_args([])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--workers", "0"],
+        ["fig11", "--workers", "-3"],
+        ["profile", "--workers", "0"],
+    ],
+    ids=["simulate", "fig11", "profile"],
+)
+def test_workers_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--workers: must be at least 1" in capsys.readouterr().err
 
 
 def test_profile_examples_emits_valid_run_report(tmp_path, capsys):

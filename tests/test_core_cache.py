@@ -3,18 +3,17 @@
 Contract under test: a warm cache entry replaces *all* golden
 simulation (``coverage.engine.golden_cycles`` stays zero) without
 changing a single campaign outcome; corrupt entries are evicted, never
-trusted; disabling the cache leaves the filesystem untouched.
+trusted.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 import pytest
 
 from repro.core import cache as golden_cache
-from repro.core.cache import CachedCampaign, GoldenRunCache
+from repro.core.cache import CachedCampaign
 from repro.core.campaign import CampaignSpec, run_campaign
 from repro.core.engine import capture_golden_with_trace
 from repro.obs import runtime as obs_runtime
@@ -58,7 +57,6 @@ def test_store_load_round_trip(small_spec):
                          first_cycle=41),
     }
     store = golden_cache.default_cache()
-    assert store is not None
     fingerprint = small_spec.fingerprint()
     path = store.store(fingerprint, "addr", capture, verdicts)
     assert path.exists()
@@ -163,47 +161,6 @@ def test_warm_worker_campaign(small_spec):
     assert counters["hits"] >= 2  # one per worker
     assert _counter(snapshot, "coverage.engine.golden_cycles") == 0
     assert warm.outcomes == cold.outcomes
-
-
-def test_disabled_cache_writes_nothing(small_spec, monkeypatch):
-    monkeypatch.setenv("REPRO_GOLDEN_CACHE", "0")
-    assert not golden_cache.cache_enabled()
-    assert golden_cache.default_cache() is None
-    run_campaign(small_spec)
-    root = golden_cache.cache_root()
-    assert not os.path.isdir(root) or not list(root.iterdir())
-
-
-def test_use_cache_false_writes_nothing(small_spec):
-    spec = CampaignSpec(
-        program=small_spec.program,
-        params=small_spec.params,
-        calibration=small_spec.calibration,
-        defects=small_spec.defects,
-        bus="addr",
-        engine="screened",
-        label="no-cache",
-        use_cache=False,
-    )
-    run_campaign(spec)
-    root = golden_cache.cache_root()
-    assert not os.path.isdir(root) or not list(root.iterdir())
-
-
-def test_cache_flag_does_not_change_fingerprint(small_spec):
-    """The cache toggle is an execution knob, not an input."""
-    for use_cache in (True, False):
-        spec = CampaignSpec(
-            program=small_spec.program,
-            params=small_spec.params,
-            calibration=small_spec.calibration,
-            defects=small_spec.defects,
-            bus="addr",
-            engine="screened",
-            label="cache-test",
-            use_cache=use_cache,
-        )
-        assert spec.fingerprint() == small_spec.fingerprint()
 
 
 # ---------------------------------------------------------------- maintenance

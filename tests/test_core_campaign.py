@@ -1,11 +1,11 @@
-"""The campaign orchestration layer: specs, backends, journals, resume.
+"""The campaign orchestration layer: specs, run_campaign, journals, resume.
 
 The load-bearing guarantees under test:
 
 * a :class:`CampaignSpec` is pure picklable data with a stable
   fingerprint (workers rebuild engines from it);
-* the process backend produces outcomes bit-identical to the serial
-  backend at any worker count, under either engine;
+* the process pool produces outcomes bit-identical to the serial loop
+  at any worker count, under either engine;
 * the JSONL journal survives the interruptions it exists for — a
   truncated trailing line is repaired, anything worse is refused — and
   a resumed campaign's merged result is identical to an uninterrupted
@@ -24,17 +24,12 @@ from hypothesis import strategies as st
 
 from repro.core.campaign import (
     CampaignJournal,
-    CampaignRunner,
     CampaignSpec,
     DetectionOutcome,
     JournalError,
-    ProcessBackend,
-    SerialBackend,
     _init_worker,
-    make_backend,
     run_campaign,
 )
-from repro.core.engine import ENGINES
 from repro import obs
 from repro.obs import runtime as obs_runtime
 
@@ -131,42 +126,30 @@ class TestCampaignSpec:
 
 
 # ---------------------------------------------------------------------------
-# Backends
+# Serial loop and process pool
 # ---------------------------------------------------------------------------
 
 
 class TestBackends:
-    def test_make_backend(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        process = make_backend("process", workers=3)
-        assert isinstance(process, ProcessBackend)
-        assert process.workers == 3
-        with pytest.raises(ValueError):
-            make_backend("serial", workers=2)
-        with pytest.raises(ValueError):
-            make_backend("thread")
-        with pytest.raises(ValueError):
-            ProcessBackend(workers=0)
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_are_refused(self, spec, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_campaign(spec, workers=workers)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_process_backend_matches_serial(
         self, spec, serial_outcomes, workers
     ):
         result = run_campaign(spec, workers=workers)
-        assert result.backend == "process"
         assert result.workers == workers
         assert result.outcomes == serial_outcomes
 
-    def test_process_backend_rejects_foreign_defects(self, spec):
-        import dataclasses
-
-        foreign = dataclasses.replace(spec.defects[0], index=10_000)
-        with pytest.raises(ValueError, match="not part of the campaign"):
-            ProcessBackend(workers=2).run(spec, [foreign])
-
     def test_empty_defect_slice(self, spec):
-        assert SerialBackend().run(spec, []) == []
-        assert ProcessBackend(workers=2).run(spec, []) == []
+        empty = dataclasses.replace(spec, defects=())
+        for workers in (1, 2):
+            result = run_campaign(empty, workers=workers)
+            assert result.outcomes == []
+            assert result.executed == 0
 
     def test_worker_initializer_drops_inherited_obs_session(self, spec):
         """A forked worker must not report into the parent's registry."""
@@ -277,8 +260,19 @@ class TestJournal:
             {"i": 3},
             {"i": 3, "d": 1, "t": 0, "m": "x"},
             {"i": "x", "d": 1, "t": 0, "m": 0},
+            {"i": 2.9, "d": "false", "t": "no", "m": -4},
+            {"i": 2.9, "d": 1, "t": 0, "m": 0},
+            {"i": True, "d": 1, "t": 0, "m": 0},
+            {"i": 2, "d": "false", "t": 0, "m": 0},
+            {"i": 2, "d": 1, "t": 2, "m": 0},
+            {"i": 2, "d": 1, "t": 0, "m": -4},
+            {"i": 2, "d": 1, "t": 0, "m": 1.0},
         ],
-        ids=["missing-fields", "non-integer-m", "non-integer-i"],
+        ids=[
+            "missing-fields", "non-integer-m", "non-integer-i",
+            "all-mistyped", "float-i", "boolean-i", "string-d",
+            "flag-out-of-range", "negative-m", "float-m",
+        ],
     )
     def test_malformed_record_is_refused(self, tmp_path, record):
         path = tmp_path / "campaign.jsonl"
@@ -306,12 +300,12 @@ class TestJournal:
 
 
 # ---------------------------------------------------------------------------
-# Runner + resume semantics
+# Resume semantics
 # ---------------------------------------------------------------------------
 
 
 class TestRunnerResume:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ["exact", "screened"])
     def test_engine_serial_parallel_and_resumed(
         self, spec, serial_outcomes, tmp_path, engine
     ):
@@ -333,7 +327,7 @@ class TestRunnerResume:
 
     def test_resume_requires_journal(self, spec):
         with pytest.raises(ValueError, match="requires a journal"):
-            CampaignRunner(spec, resume=True)
+            run_campaign(spec, resume=True)
 
     def test_completed_journal_resumes_without_executing(
         self, spec, serial_outcomes, tmp_path

@@ -2,47 +2,48 @@
 
 import pytest
 
-from repro.core.coverage import DefectSimulator, address_bus_line_coverage
+from repro.core.campaign import CampaignSpec, run_campaign
+from repro.core.coverage import address_bus_line_coverage
+
+
+def spec_for(setup, program, bus):
+    return CampaignSpec(
+        program, setup.params, setup.calibration, tuple(setup.library), bus
+    )
 
 
 @pytest.fixture(scope="module")
-def address_simulator(address_setup, address_program):
-    return DefectSimulator(
-        address_program,
-        address_setup.params,
-        address_setup.calibration,
-        bus="addr",
-    )
+def address_result(address_setup, address_program):
+    return run_campaign(spec_for(address_setup, address_program, "addr"))
 
 
 def test_bus_argument_validated(address_setup, address_program):
     with pytest.raises(ValueError):
-        DefectSimulator(
-            address_program,
-            address_setup.params,
-            address_setup.calibration,
-            bus="ctrl",
-        )
+        spec_for(address_setup, address_program, "ctrl")
 
 
-def test_single_defect_outcomes(address_setup, address_simulator):
-    outcome = address_simulator.simulate(address_setup.library[0])
-    assert outcome.defect_index == 0
-    assert isinstance(outcome.detected, bool)
+def test_single_defect_outcomes(address_setup, address_program, address_result):
+    defect = address_setup.library[0]
+    check = spec_for(address_setup, address_program, "addr").build_engine().check(
+        defect
+    )
+    outcome = address_result.outcomes[0]
+    assert outcome.defect_index == defect.index == 0
+    assert isinstance(check.detected, bool)
+    assert (check.detected, check.timed_out, check.mismatches) == (
+        outcome.detected, outcome.timed_out, outcome.mismatches
+    )
 
 
-def test_full_program_coverage_high(address_setup, address_simulator):
+def test_full_program_coverage_high(address_result):
     # Paper: "the defect coverage of the test program is 100% on both
     # address and data busses."
-    coverage = address_simulator.coverage(address_setup.library)
-    assert coverage >= 0.95
+    assert address_result.coverage() >= 0.95
 
 
 def test_data_bus_coverage_full(data_setup, data_program):
-    simulator = DefectSimulator(
-        data_program, data_setup.params, data_setup.calibration, bus="data"
-    )
-    assert simulator.coverage(data_setup.library) == 1.0
+    result = run_campaign(spec_for(data_setup, data_program, "data"))
+    assert result.coverage() == 1.0
 
 
 def test_fig11_shape(address_setup, builder, address_program):
@@ -69,6 +70,6 @@ def test_fig11_shape(address_setup, builder, address_program):
     assert report.as_rows()[0]["line"] == 1
 
 
-def test_detected_set_is_subset_of_library(address_setup, address_simulator):
-    detected = address_simulator.detected_set(address_setup.library)
+def test_detected_set_is_subset_of_library(address_setup, address_result):
+    detected = address_result.detected_set()
     assert detected <= {d.index for d in address_setup.library}

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import default_bus_setup
-from repro.core.campaign import run_defects
-from repro.core.coverage import DefectSimulator
+from repro.core.campaign import CampaignSpec, run_campaign, run_defects
 from repro.core.engine import (
     ExactEngine,
     ScreenedEngine,
     auto_checkpoint_interval,
     capture_golden_with_trace,
-    make_engine,
 )
 from repro.core.program_builder import SelfTestProgramBuilder
 from repro.core.signature import build_base_image, capture_golden, make_system
@@ -43,11 +41,15 @@ def data_setup():
     return default_bus_setup(8, defect_count=50, seed=11)
 
 
-def outcomes(program, setup, bus, **kwargs):
-    simulator = DefectSimulator(
-        program, setup.params, setup.calibration, bus=bus, **kwargs
+def campaign(program, setup, bus, engine):
+    return CampaignSpec(
+        program, setup.params, setup.calibration, tuple(setup.library), bus,
+        engine=engine,
     )
-    return simulator.run_library(setup.library)
+
+
+def outcomes(program, setup, bus, engine):
+    return run_campaign(campaign(program, setup, bus, engine)).outcomes
 
 
 def test_screened_equals_exact_on_address_bus(addr_program, addr_setup):
@@ -72,10 +74,7 @@ def test_screened_equals_exact_on_random_libraries(
     addr_program, seed, count, interval
 ):
     setup = default_bus_setup(12, defect_count=count, seed=seed)
-    exact = DefectSimulator(
-        addr_program, setup.params, setup.calibration, bus="addr",
-        engine="exact",
-    ).run_library(setup.library)
+    exact = outcomes(addr_program, setup, "addr", "exact")
     capture = None
     if interval is not None:
         capture = capture_golden_with_trace(
@@ -98,42 +97,28 @@ def test_per_line_programs_equivalent(builder, addr_setup):
 
 
 def test_simulate_without_prepare(addr_program, addr_setup):
-    """Single-defect path must screen lazily (no run_library batch)."""
-    exact = DefectSimulator(
-        addr_program, addr_setup.params, addr_setup.calibration, bus="addr",
-        engine="exact",
-    )
-    screened = DefectSimulator(
-        addr_program, addr_setup.params, addr_setup.calibration, bus="addr",
-        engine="screened",
-    )
+    """Single-defect path must screen lazily (no prepare batch)."""
+    exact = campaign(addr_program, addr_setup, "addr", "exact").build_engine()
+    screened = campaign(
+        addr_program, addr_setup, "addr", "screened"
+    ).build_engine()
     for defect in addr_setup.library.defects[:5]:
-        assert screened.simulate(defect) == exact.simulate(defect)
+        assert screened.check(defect) == exact.check(defect)
 
 
 def test_engines_share_golden_reference(addr_program, addr_setup):
     golden = capture_golden(addr_program)
-    for name in ("exact", "screened"):
-        engine = make_engine(
-            name, addr_program, addr_setup.params, addr_setup.calibration,
-            "addr",
-        )
+    for engine in (
+        ExactEngine(
+            addr_program, addr_setup.params, addr_setup.calibration, "addr"
+        ),
+        ScreenedEngine(
+            addr_program, addr_setup.params, addr_setup.calibration, "addr"
+        ),
+    ):
         assert engine.golden.snapshot == golden.snapshot
         assert engine.golden.cycles == golden.cycles
         assert engine.golden.instructions == golden.instructions
-
-
-def test_make_engine_rejects_unknown_name(addr_program, addr_setup):
-    with pytest.raises(ValueError):
-        make_engine(
-            "quantum", addr_program, addr_setup.params,
-            addr_setup.calibration, "addr",
-        )
-    with pytest.raises(ValueError):
-        DefectSimulator(
-            addr_program, addr_setup.params, addr_setup.calibration,
-            engine="quantum",
-        )
 
 
 def test_capture_golden_with_trace(addr_program):
@@ -201,12 +186,9 @@ def test_replay_dedup_collapses_defect_classes(builder, addr_setup):
     faults = [f for f in builder.address_faults() if f.victim == 5]
     program = builder.build_address_bus_program(faults)
     exact = outcomes(program, addr_setup, "addr", engine="exact")
-    simulator = DefectSimulator(
-        program, addr_setup.params, addr_setup.calibration, bus="addr",
-        engine="screened",
-    )
+    engine = campaign(program, addr_setup, "addr", "screened").build_engine()
     with obs_runtime.session() as obs:
-        screened = simulator.run_library(addr_setup.library)
+        screened = run_defects(engine, addr_setup.library, "addr")
     assert screened == exact
     total = len(addr_setup.library.defects)
     snapshot = obs.registry.snapshot()
@@ -220,7 +202,7 @@ def test_replay_dedup_collapses_defect_classes(builder, addr_setup):
     )
     assert clean + deduped + replayed == total
     assert deduped > 0, "expected defects to share a replay behavior"
-    recorded = sum(len(v) for v in simulator.engine._replay_classes.values())
+    recorded = sum(len(v) for v in engine._replay_classes.values())
     assert recorded == replayed
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import signature
 from repro.core.program_builder import SelfTestProgram
 from repro.core.signature import (
     capture_golden,
@@ -32,7 +33,9 @@ def test_capture_golden_basic():
     assert golden.max_cycles > golden.cycles
 
 
-def test_capture_golden_raises_on_nonhalting():
+def test_capture_golden_raises_on_nonhalting(monkeypatch):
+    # A lower budget fails the same way, without waiting out 10M cycles.
+    monkeypatch.setattr(signature, "GOLDEN_CYCLE_BUDGET", 10_000)
     # jmp 0x002 at 0, nop at 2, jmp 0x000 at 3: ping-pongs forever.
     program = SelfTestProgram(
         image={0: 0x80, 1: 0x02, 2: 0xF0, 3: 0x80, 4: 0x00},

@@ -1,45 +1,39 @@
 """Cross-module integration tests: the full paper pipeline end to end."""
 
-from repro.core.coverage import DefectSimulator
+from repro.core.campaign import CampaignSpec, run_campaign
 from repro.core.maf import FaultType
 from repro.core.sessions import build_sessions
 from repro.xtalk.error_model import CrosstalkErrorModel
 
 
+def address_spec(setup, program):
+    return CampaignSpec(
+        program, setup.params, setup.calibration, tuple(setup.library), "addr"
+    )
+
+
 def test_sbst_detects_known_injected_defect(address_setup, address_program):
     """Inject one severe defect and confirm the self-test program flags it
     through the response mechanism (Fig. 9 flow)."""
-    simulator = DefectSimulator(
-        address_program,
-        address_setup.params,
-        address_setup.calibration,
-        bus="addr",
-    )
+    engine = address_spec(address_setup, address_program).build_engine()
     severe = max(address_setup.library, key=lambda d: d.severity)
-    outcome = simulator.simulate(severe)
-    assert outcome.detected
+    assert engine.check(severe).detected
 
 
 def test_fault_free_run_passes(address_setup, address_program):
     """A defect-free capacitance set must not trigger any response change
     (no false rejects / no over-testing by SBST)."""
-    simulator = DefectSimulator(
-        address_program,
-        address_setup.params,
-        address_setup.calibration,
-        bus="addr",
-    )
-    from repro.core.signature import check_response, make_system
+    from repro.core.signature import capture_golden, check_response, make_system
+
+    golden = capture_golden(address_program)
 
     system = make_system(address_program)
     model = CrosstalkErrorModel(
         address_setup.caps, address_setup.params, address_setup.calibration
     )
     system.address_bus.install_corruption_hook(model.corrupt)
-    result = system.run(
-        entry=address_program.entry, max_cycles=simulator.golden.max_cycles
-    )
-    check = check_response(simulator.golden, system, result.halted)
+    result = system.run(entry=address_program.entry, max_cycles=golden.max_cycles)
+    check = check_response(golden, system, result.halted)
     assert check.passed
 
 
@@ -47,17 +41,12 @@ def test_sessions_cover_defects_that_session1_misses(address_setup, builder):
     """Tests deferred to later sessions still contribute coverage: running
     every session must detect at least as much as session 1 alone."""
     plan = build_sessions(builder, data_faults=())
-    detected_by_session1 = DefectSimulator(
-        plan.programs[0],
-        address_setup.params,
-        address_setup.calibration,
-        bus="addr",
-    ).detected_set(address_setup.library)
+    detected_by_session1 = run_campaign(
+        address_spec(address_setup, plan.programs[0])
+    ).detected_set()
     union = set(detected_by_session1)
     for program in plan.programs[1:]:
-        union |= DefectSimulator(
-            program, address_setup.params, address_setup.calibration, bus="addr"
-        ).detected_set(address_setup.library)
+        union |= run_campaign(address_spec(address_setup, program)).detected_set()
     assert union >= detected_by_session1
     assert len(union) == len(address_setup.library)  # 100 % cumulative
 
@@ -105,7 +94,5 @@ def test_glitch_and_delay_families_both_contribute(address_setup, builder):
         program = builder.build_address_bus_program(faults)
         if not program.applied:
             continue
-        simulator = DefectSimulator(
-            program, address_setup.params, address_setup.calibration, bus="addr"
-        )
-        assert simulator.coverage(address_setup.library) > 0.5
+        result = run_campaign(address_spec(address_setup, program))
+        assert result.coverage() > 0.5

@@ -74,9 +74,6 @@ class TestKernelInputsPickle:
                 assert rebuilt.decide(previous, driven, direction) == (
                     original.decide(previous, driven, direction)
                 )
-                assert rebuilt.corrupts(previous, driven, direction) == (
-                    original.corrupts(previous, driven, direction)
-                )
 
 
 class TestCampaignComponentsPickle:
