@@ -369,50 +369,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or trim the content-addressed golden-run artifact cache."""
-    from pathlib import Path
-
-    from repro.core import cache as golden_cache
-
-    root = Path(args.dir) if args.dir else golden_cache.cache_root()
-    store = golden_cache.GoldenRunCache(root)
-    if args.cache_command == "clear":
-        removed = store.clear()
-        print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'} "
-              f"from {root}")
-        return 0
-    if args.cache_command == "prune":
-        removed = len(store.prune(max_age_days=args.days,
-                                  max_entries=args.keep))
-        print(f"pruned {removed} cache entr{'y' if removed == 1 else 'ies'} "
-              f"from {root}")
-        return 0
-    entries = store.entries()
-    if not entries:
-        print(f"cache is empty ({root})")
-        return 0
-    rows = []
-    for entry in entries:
-        rows.append((
-            entry.key[:12],
-            entry.bus if entry.ok else "?",
-            str(entry.cycles) if entry.ok else "-",
-            str(entry.trace_length) if entry.ok else "-",
-            str(entry.checkpoint_count) if entry.ok else "-",
-            str(entry.verdict_count) if entry.ok else "-",
-            f"{entry.size_bytes / 1024:.1f}",
-            "ok" if entry.ok else "CORRUPT",
-        ))
-    print(format_table(
-        ("key", "bus", "cycles", "trace", "ckpts", "verdicts", "KiB",
-         "status"),
-        rows,
-        title=f"golden-run cache: {root}",
-    ))
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sbst",
@@ -525,24 +481,6 @@ def make_parser() -> argparse.ArgumentParser:
                          help="trace ring-buffer capacity (newest kept)")
     profile.set_defaults(func=cmd_profile)
 
-    cache = sub.add_parser(
-        "cache",
-        help="inspect or trim the golden-run artifact cache",
-    )
-    cache.add_argument("--dir", metavar="PATH",
-                       help="cache directory (default: $REPRO_CACHE_DIR or "
-                       ".repro-cache)")
-    cache_sub = cache.add_subparsers(dest="cache_command")
-    cache_sub.add_parser("ls", help="list cache entries (default)")
-    prune = cache_sub.add_parser(
-        "prune", help="drop old or excess cache entries"
-    )
-    prune.add_argument("--days", type=float, default=None,
-                       help="drop entries older than this many days")
-    prune.add_argument("--keep", type=int, default=None,
-                       help="keep at most this many newest entries")
-    cache_sub.add_parser("clear", help="remove every cache entry")
-    cache.set_defaults(func=cmd_cache, cache_command="ls")
     return parser
 
 

@@ -16,7 +16,8 @@ programs for the PARWAN-class CPU-memory system:
 * :mod:`repro.core.signature` — golden responses, detection checks and
   the golden-run cycle budget;
 * :mod:`repro.core.engine` — the exact and screened simulation engines;
-* :mod:`repro.core.cache` — the on-disk golden-run artifact cache;
+* :mod:`repro.core.cache` — the screened engine's on-disk golden-run
+  artifact cache;
 * :mod:`repro.core.campaign` — campaign orchestration: picklable specs,
   :func:`run_campaign` (serial or process pool), resumable JSONL
   outcome journals;
@@ -49,7 +50,6 @@ from repro.core.engine import (
 )
 from repro.core.cache import (
     CachedCampaign,
-    CacheEntryInfo,
     CacheError,
     GoldenRunCache,
     cache_root,
@@ -90,7 +90,6 @@ __all__ = [
     "SimulationEngine",
     "capture_golden_with_trace",
     "CachedCampaign",
-    "CacheEntryInfo",
     "CacheError",
     "GoldenRunCache",
     "cache_root",

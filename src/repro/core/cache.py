@@ -23,22 +23,26 @@ Entry layout (one file per key, ``<sha256>.rgc`` under the cache root):
   - ``golden``   — cycle/instruction counts + final memory image,
   - ``trace``    — the golden bus-transaction stream,
   - ``checkpoints`` — the mid-run :class:`SystemSnapshot` series,
-  - ``verdicts`` — screen verdicts already computed for this golden
-    trace (written back after screening so warm runs skip the screen
-    for known defects).
+  - ``verdicts`` — the screen verdict of every defect of the campaign,
+    so warm runs skip the screen too.
 
-Integrity: every section carries a SHA-256 over its stored bytes and is
-verified on load; any mismatch, truncation, or undecodable structure
-evicts the entry (``corrupt_evicted`` counter) and reports a miss —
-a damaged cache can cost time, never correctness.  Writes go through a
+Each entry is written whole, in one store, by the screened engine build
+that missed it (:meth:`~repro.core.campaign.CampaignSpec.build_engine`);
+entries are never merged or patched.  Integrity: every section carries a SHA-256 over
+its stored bytes and is verified on load; any mismatch, truncation, or
+undecodable structure evicts the entry (``corrupt_evicted`` counter) and
+reports a miss, and so does an entry path that cannot be read — a
+damaged cache can cost time, never correctness.  Writes go through a
 temp file + :func:`os.replace`, so readers never observe a partial
 entry.  Invalidation is purely key-based: any input change moves the
 fingerprint, and :data:`FORMAT_VERSION` is folded into the key so
 layout changes orphan (rather than misread) old entries.
 
-The cache is always on.  ``REPRO_CACHE_DIR`` overrides the default
-``.repro-cache`` root.  All operations count into ``coverage.engine.golden_cache.*`` when an
-observability session is active.
+The cache is always on and the directory is disposable: deleting it only
+costs the next runs their golden capture and screen.  ``REPRO_CACHE_DIR``
+overrides the default ``.repro-cache`` root.  All operations count into
+``coverage.engine.golden_cache.*`` when an observability session is
+active.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ from repro.soc.system import SystemSnapshot
 from repro.xtalk.screen import ScreenVerdict
 
 __all__ = [
-    "CacheEntryInfo",
     "CacheError",
     "CachedCampaign",
     "DEFAULT_CACHE_DIR",
@@ -392,24 +395,6 @@ class CachedCampaign:
     capture: GoldenCapture
     verdicts: Dict[int, ScreenVerdict]
     bus: str
-    path: Path
-
-
-@dataclass(frozen=True)
-class CacheEntryInfo:
-    """Header-level description of one on-disk entry (for ``cache ls``)."""
-
-    path: Path
-    key: str
-    fingerprint: str
-    bus: str
-    cycles: int
-    trace_length: int
-    checkpoint_count: int
-    verdict_count: int
-    size_bytes: int
-    created: float
-    ok: bool
 
 
 class GoldenRunCache:
@@ -440,7 +425,8 @@ class GoldenRunCache:
         """Return the warm entry for ``fingerprint``, or ``None``.
 
         Counts a hit or a miss; corrupt entries are unlinked (counted
-        as ``corrupt_evicted``) and reported as misses.
+        as ``corrupt_evicted``) and reported as misses, and so are entry
+        paths that cannot be read.
         """
         path = self._path(self.key_for(fingerprint))
         entry = self._load_quiet(path)
@@ -454,6 +440,9 @@ class GoldenRunCache:
         try:
             data = path.read_bytes()
         except FileNotFoundError:
+            return None
+        except OSError as error:
+            logger.warning("cannot read cache entry %s: %s", path, error)
             return None
         try:
             header, body = _decode_header(data)
@@ -486,9 +475,7 @@ class GoldenRunCache:
                 pass
             _count("corrupt_evicted")
             return None
-        return CachedCampaign(
-            capture=capture, verdicts=verdicts, bus=bus, path=path
-        )
+        return CachedCampaign(capture=capture, verdicts=verdicts, bus=bus)
 
     def store(
         self,
@@ -550,110 +537,3 @@ class GoldenRunCache:
                 pass
         _count("stores")
         return path
-
-    def merge_verdicts(
-        self,
-        fingerprint: str,
-        bus: str,
-        capture: GoldenCapture,
-        verdicts: Mapping[int, ScreenVerdict],
-    ) -> bool:
-        """Fold newly screened verdicts into the entry (write-back).
-
-        Returns True when the entry was (re)written; a no-op when every
-        verdict is already stored, so warm runs do zero writes.
-        """
-        path = self._path(self.key_for(fingerprint))
-        existing = self._load_quiet(path)
-        merged: Dict[int, ScreenVerdict] = dict(existing.verdicts) if existing else {}
-        before = len(merged)
-        merged.update(verdicts)
-        if existing is not None and len(merged) == before:
-            return False
-        self.store(fingerprint, bus, capture, merged)
-        return True
-
-    # -- maintenance --------------------------------------------------
-
-    def entries(self) -> List[CacheEntryInfo]:
-        """Header-level info for every entry under the cache root."""
-        infos = []
-        for path in sorted(self.root.glob(f"*{_SUFFIX}")):
-            size = path.stat().st_size
-            try:
-                with open(path, "rb") as handle:
-                    first = handle.readline()
-                if not first.endswith(b"\n"):
-                    raise CacheError("missing header line")
-                header, _ = _decode_header(first)
-                infos.append(
-                    CacheEntryInfo(
-                        path=path,
-                        key=str(header.get("key", path.stem)),
-                        fingerprint=str(header.get("fingerprint", "?")),
-                        bus=str(header.get("bus", "?")),
-                        cycles=int(header.get("cycles", 0)),
-                        trace_length=int(header.get("trace_length", 0)),
-                        checkpoint_count=int(header.get("checkpoint_count", 0)),
-                        verdict_count=int(header.get("verdict_count", 0)),
-                        size_bytes=size,
-                        created=float(header.get("created", 0.0)),
-                        ok=True,
-                    )
-                )
-            except (OSError, CacheError, TypeError, ValueError):
-                infos.append(
-                    CacheEntryInfo(
-                        path=path,
-                        key=path.stem,
-                        fingerprint="?",
-                        bus="?",
-                        cycles=0,
-                        trace_length=0,
-                        checkpoint_count=0,
-                        verdict_count=0,
-                        size_bytes=size,
-                        created=0.0,
-                        ok=False,
-                    )
-                )
-        return infos
-
-    def prune(
-        self,
-        max_age_days: Optional[float] = None,
-        max_entries: Optional[int] = None,
-    ) -> List[Path]:
-        """Remove entries older than ``max_age_days`` and/or beyond the
-        newest ``max_entries``; corrupt headers are always removed."""
-        removed = []
-        infos = self.entries()
-        keep = [info for info in infos if info.ok]
-        for info in infos:
-            if not info.ok:
-                removed.append(info.path)
-        if max_age_days is not None:
-            cutoff = time.time() - max_age_days * 86400.0
-            stale = [info for info in keep if info.created < cutoff]
-            removed.extend(info.path for info in stale)
-            keep = [info for info in keep if info.created >= cutoff]
-        if max_entries is not None and len(keep) > max_entries:
-            keep.sort(key=lambda info: info.created, reverse=True)
-            removed.extend(info.path for info in keep[max_entries:])
-        for path in removed:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return removed
-
-    def clear(self) -> int:
-        """Remove every entry; returns the number removed."""
-        count = 0
-        for path in self.root.glob(f"*{_SUFFIX}"):
-            try:
-                path.unlink()
-                count += 1
-            except OSError:
-                pass
-        return count

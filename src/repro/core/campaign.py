@@ -64,19 +64,13 @@ from typing import (
 )
 
 from repro.core import cache as golden_cache
-from repro.core.engine import (
-    ExactEngine,
-    ScreenedEngine,
-    SimulationEngine,
-    capture_golden_with_trace,
-)
+from repro.core.engine import ExactEngine, ScreenedEngine, SimulationEngine
 from repro.core.program_builder import SelfTestProgram
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import merge_snapshot
 from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
 from repro.xtalk.params import ElectricalParams
-from repro.xtalk.screen import ScreenVerdict
 
 logger = logging.getLogger("repro.core.campaign")
 
@@ -108,10 +102,8 @@ def run_defects(
 ) -> List[DetectionOutcome]:
     """Judge every defect in order on one engine (the serial inner loop).
 
-    Batch-capable engines get one :meth:`SimulationEngine.prepare` call
-    first (the screened engine vectorizes its whole screening pass
-    there).  ``on_outcome`` fires after every judged defect (the
-    journal's append hook).
+    ``on_outcome`` fires after every judged defect (the journal's append
+    hook).
 
     Under an active observability session every judgment is timed
     (``coverage.defect.replay``), tallied (``coverage.defects.*``) and
@@ -123,7 +115,6 @@ def run_defects(
     screening decisions appear under ``coverage.engine.*`` instead.)
     """
     defects = list(defects)
-    engine.prepare(defects)
     total = len(defects)
     obs = obs_runtime.active()
     gauge = obs.registry.gauge("coverage.campaign.progress") if obs else None
@@ -226,9 +217,9 @@ class CampaignSpec:
     and threshold configuration, the defect slice, and the engine
     selection.  It references no live system, bus, hook, tracer, or
     open file — workers rebuild all of that with
-    :meth:`build_engine`, which consults the golden-run artifact cache
-    (:mod:`repro.core.cache`) so the golden capture is simulated at
-    most once per fingerprint, not once per worker/resume/invocation.
+    :meth:`build_engine`, whose screened engine comes from the golden-run
+    artifact cache (:mod:`repro.core.cache`): the golden capture and the
+    screen run once per fingerprint, not once per worker/resume/invocation.
     """
 
     program: SelfTestProgram
@@ -249,46 +240,38 @@ class CampaignSpec:
         """Rebuild the simulation engine this spec describes.
 
         This is the factory workers call after unpickling a spec.  The
-        golden capture and any screen verdicts come from the
-        content-addressed artifact cache when warm — the engine then
-        does *zero* golden simulation — and are stored on a miss so the
-        next build (worker, resume, re-invocation) is warm.  Cache
+        exact engine simulates its own golden run and does no cache I/O.
+        The screened engine loads its golden capture and screen verdicts
+        from the content-addressed artifact cache; a warm entry means
+        *zero* golden simulation and no screen.  When the entry is
+        missing, or its verdicts do not cover every defect of the spec,
+        the build captures the golden run (entry missing only), screens
+        the whole library once and stores one complete entry.  Cache
         failures degrade to a plain rebuild: the cache can cost time,
         never correctness.
         """
+        if self.engine == "exact":
+            return ExactEngine(
+                self.program, self.params, self.calibration, self.bus
+            )
         store = golden_cache.default_cache()
         fingerprint = self.fingerprint()
         entry = store.load(fingerprint)
-        verdicts: Optional[Dict[int, ScreenVerdict]] = None
-        if entry is not None:
-            capture, verdicts = entry.capture, entry.verdicts
-        else:
-            capture = capture_golden_with_trace(self.program, self.bus)
-            try:
-                store.store(fingerprint, self.bus, capture)
-            except (golden_cache.CacheError, OSError) as error:
-                logger.warning("golden cache store failed: %s", error)
-        if self.engine == "exact":
-            return ExactEngine(
-                self.program, self.params, self.calibration, self.bus,
-                golden=capture.golden,
-            )
         engine = ScreenedEngine(
             self.program, self.params, self.calibration, self.bus,
-            capture=capture, verdicts=verdicts,
+            capture=entry.capture if entry else None,
+            verdicts=entry.verdicts if entry else None,
         )
-
-        def write_back(all_verdicts: Dict[int, ScreenVerdict]) -> None:
+        if entry is None or any(
+            defect.index not in entry.verdicts for defect in self.defects
+        ):
+            engine.prepare(self.defects)
             try:
-                store.merge_verdicts(
-                    fingerprint, self.bus, capture, all_verdicts
+                store.store(
+                    fingerprint, self.bus, engine.capture, engine.verdicts
                 )
             except (golden_cache.CacheError, OSError) as error:
-                logger.warning(
-                    "golden cache verdict write-back failed: %s", error
-                )
-
-        engine.screen_sink = write_back
+                logger.warning("golden cache store failed: %s", error)
         return engine
 
     def fingerprint(self) -> str:
@@ -557,8 +540,7 @@ class CampaignResult:
         return self.detected / len(self.outcomes)
 
 
-#: Shards dealt per pool worker: enough slack for dynamic load balance
-#: without fragmenting the screened engine's batched screening pass.
+#: Shards dealt per pool worker: enough slack for dynamic load balance.
 SHARDS_PER_WORKER = 4
 
 # Worker-process state, set once per worker by the pool initializer so

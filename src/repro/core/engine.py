@@ -51,7 +51,7 @@ so campaign reports can show how much work screening saved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core import signature
 from repro.core.program_builder import SelfTestProgram
@@ -140,14 +140,9 @@ def capture_golden_with_trace(
     from many checkpoints.
     """
     if interval is None:
-        probe = make_system(program, base_image)
-        result = probe.run(
-            entry=program.entry, max_cycles=signature.GOLDEN_CYCLE_BUDGET
-        )
-        if not result.halted:
-            raise RuntimeError("golden run did not reach the halt convention")
-        _count_golden_cycles(result.cycles)
-        interval = auto_checkpoint_interval(result.cycles)
+        probe = signature.capture_golden(program)
+        _count_golden_cycles(probe.cycles)
+        interval = auto_checkpoint_interval(probe.cycles)
     if interval <= 0:
         raise ValueError("checkpoint interval must be positive")
 
@@ -187,16 +182,11 @@ class SimulationEngine:
       :meth:`check` call, or ``None`` when the engine proved the defect
       clean without simulating (callers roll its verdict statistics into
       observability when present).
-    * :meth:`prepare` is an optional whole-library hook so batch-capable
-      engines can amortize work across defects.
     """
 
     name: str
     golden: GoldenReference
     last_model: Optional[CrosstalkErrorModel]
-
-    def prepare(self, defects: Iterable[Defect]) -> None:
-        """Optional batch hook called before a library sweep."""
 
     def check(self, defect: Defect) -> ResponseCheck:
         raise NotImplementedError
@@ -205,8 +195,8 @@ class SimulationEngine:
 class ExactEngine(SimulationEngine):
     """One full replay per defect (the original simulator behavior).
 
-    ``golden`` may be injected (e.g. from the golden-run artifact
-    cache, :mod:`repro.core.cache`) to skip the fault-free probe run.
+    It simulates its own golden run and touches no cache, so the oracle
+    depends on nothing the screened path wrote.
     """
 
     name = "exact"
@@ -217,29 +207,14 @@ class ExactEngine(SimulationEngine):
         params: ElectricalParams,
         calibration: Calibration,
         bus: str,
-        golden: Optional[GoldenReference] = None,
     ):
         self.program = program
         self.params = params
         self.calibration = calibration
         self.bus = bus
         self._base_image = build_base_image(program)
-        if golden is None:
-            probe = make_system(program, self._base_image)
-            result = probe.run(
-                entry=program.entry, max_cycles=signature.GOLDEN_CYCLE_BUDGET
-            )
-            if not result.halted:
-                raise RuntimeError(
-                    "golden run did not reach the halt convention"
-                )
-            _count_golden_cycles(result.cycles)
-            golden = GoldenReference(
-                snapshot=probe.memory.snapshot(),
-                cycles=result.cycles,
-                instructions=result.instructions,
-            )
-        self.golden = golden
+        self.golden = signature.capture_golden(program)
+        _count_golden_cycles(self.golden.cycles)
         self.last_model = None
 
     def check(self, defect: Defect) -> ResponseCheck:
@@ -306,6 +281,7 @@ class ScreenedEngine(SimulationEngine):
         spacing).  With a ``capture`` the engine does zero golden
         simulation; ``verdicts`` preloads screening results keyed by
         defect index, so already-screened defects skip the screen too.
+        :attr:`verdicts` holds every verdict known so far.
     """
 
     name = "screened"
@@ -333,13 +309,7 @@ class ScreenedEngine(SimulationEngine):
         self.checkpoints = capture.checkpoints
         self.screen = TraceScreen(capture.trace, params, calibration)
         self._scratch = make_system(program, self._base_image)
-        self._verdicts: Dict[int, ScreenVerdict] = dict(verdicts or {})
-        #: Optional write-back hook: called with the cumulative verdict
-        #: map whenever :meth:`prepare` screens defects it did not
-        #: already know (the cache layer uses this to persist verdicts).
-        self.screen_sink: Optional[
-            Callable[[Dict[int, ScreenVerdict]], None]
-        ] = None
+        self.verdicts: Dict[int, ScreenVerdict] = dict(verdicts or {})
         # first corrupted trace index -> replay behaviors seen so far,
         # most-recently-matched first (defect libraries cluster, so the
         # scan almost always hits the front entry).
@@ -349,35 +319,20 @@ class ScreenedEngine(SimulationEngine):
     # -- screening ----------------------------------------------------------
 
     def prepare(self, defects: Iterable[Defect]) -> None:
-        """Screen the library in one (vectorized) pass.
-
-        Defects with preloaded verdicts (from the cache) are skipped
-        and counted as ``coverage.engine.verdicts_preloaded``; when the
-        pass screened anything new, the cumulative verdict map is
-        offered to :attr:`screen_sink` for write-back.
-        """
-        defects = list(defects)
+        """Screen, in one vectorized pass, every defect not yet in
+        :attr:`verdicts`.  Without it :meth:`check` screens lazily, one
+        defect at a time."""
         missing = [
-            defect for defect in defects if defect.index not in self._verdicts
+            defect for defect in defects if defect.index not in self.verdicts
         ]
-        preloaded = len(defects) - len(missing)
-        if preloaded:
-            obs_runtime.registry().counter(
-                "coverage.engine.verdicts_preloaded"
-            ).inc(preloaded)
-        if not missing:
-            return
-        verdicts = self.screen.screen(missing)
-        for defect, verdict in zip(missing, verdicts):
-            self._verdicts[defect.index] = verdict
-        if self.screen_sink is not None:
-            self.screen_sink(dict(self._verdicts))
+        for defect, verdict in zip(missing, self.screen.screen(missing)):
+            self.verdicts[defect.index] = verdict
 
     def _verdict_for(self, defect: Defect) -> ScreenVerdict:
-        verdict = self._verdicts.get(defect.index)
+        verdict = self.verdicts.get(defect.index)
         if verdict is None:
             verdict = self.screen.screen_one(defect)
-            self._verdicts[defect.index] = verdict
+            self.verdicts[defect.index] = verdict
         return verdict
 
     def _checkpoint_before(self, cycle: int) -> Checkpoint:

@@ -2,19 +2,21 @@
 
 Contract under test: a warm cache entry replaces *all* golden
 simulation (``coverage.engine.golden_cycles`` stays zero) without
-changing a single campaign outcome; corrupt entries are evicted, never
-trusted.
+changing a single campaign outcome; a cold screened build writes one
+complete entry; exact campaigns never touch the cache; corrupt or
+unreadable entries are misses, never trusted.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro.core import cache as golden_cache
 from repro.core.cache import CachedCampaign
-from repro.core.campaign import CampaignSpec, run_campaign
+from repro.core.campaign import CampaignJournal, CampaignSpec, run_campaign
 from repro.core.engine import capture_golden_with_trace
 from repro.obs import runtime as obs_runtime
 from repro.xtalk.screen import ScreenVerdict
@@ -101,21 +103,6 @@ def test_corrupt_entry_is_evicted(small_spec):
     assert not path.exists()  # evicted, not retried forever
 
 
-def test_merge_verdicts(small_spec):
-    capture = capture_golden_with_trace(small_spec.program, "addr")
-    store = golden_cache.default_cache()
-    fingerprint = small_spec.fingerprint()
-    store.store(fingerprint, "addr", capture,
-                {0: ScreenVerdict(defect_index=0, clean=True)})
-    store.merge_verdicts(
-        fingerprint, "addr", capture,
-        {1: ScreenVerdict(defect_index=1, clean=False, first_index=2,
-                          first_cycle=9)},
-    )
-    entry = store.load(fingerprint)
-    assert set(entry.verdicts) == {0, 1}
-
-
 # ---------------------------------------------------------------- engine
 
 
@@ -124,7 +111,9 @@ def test_warm_build_engine_skips_golden_simulation(small_spec):
         small_spec.build_engine()
         cold = _cache_counters(session.registry.snapshot())
     assert cold["misses"] == 1
-    assert cold["stores"] >= 1
+    assert cold["stores"] == 1
+    entry = golden_cache.default_cache().load(small_spec.fingerprint())
+    assert set(entry.verdicts) == {d.index for d in small_spec.defects}
 
     with obs_runtime.session(detail="metrics") as session:
         engine = small_spec.build_engine()
@@ -163,57 +152,70 @@ def test_warm_worker_campaign(small_spec):
     assert warm.outcomes == cold.outcomes
 
 
-# ---------------------------------------------------------------- maintenance
-
-
-def test_entries_prune_clear(small_spec, address_program):
+def test_incomplete_entry_is_completed_without_golden_simulation(small_spec):
+    """An entry whose verdicts miss defects gets one complete rewrite."""
     store = golden_cache.default_cache()
     capture = capture_golden_with_trace(small_spec.program, "addr")
-    store.store(small_spec.fingerprint(), "addr", capture)
-    store.store("another-campaign", "addr", capture)
-
-    infos = store.entries()
-    assert len(infos) == 2
-    assert all(info.ok for info in infos)
-    assert all(info.cycles == capture.golden.cycles for info in infos)
-
-    removed = store.prune(max_entries=1)
-    assert len(removed) == 1
-    assert len(store.entries()) == 1
-
-    assert store.clear() == 1
-    assert store.entries() == []
+    store.store(small_spec.fingerprint(), "addr", capture,
+                {0: ScreenVerdict(defect_index=0, clean=True)})
+    with obs_runtime.session(detail="metrics") as session:
+        small_spec.build_engine()
+        snapshot = session.registry.snapshot()
+    counters = _cache_counters(snapshot)
+    assert counters["hits"] == 1
+    assert counters["stores"] == 1
+    assert _counter(snapshot, "coverage.engine.golden_cycles") == 0
+    entry = store.load(small_spec.fingerprint())
+    assert set(entry.verdicts) == {d.index for d in small_spec.defects}
 
 
-def test_prune_removes_corrupt_headers(small_spec):
-    store = golden_cache.default_cache()
-    capture = capture_golden_with_trace(small_spec.program, "addr")
-    path = store.store(small_spec.fingerprint(), "addr", capture)
-    path.write_bytes(b"not a cache entry")
-    infos = store.entries()
-    assert len(infos) == 1 and not infos[0].ok
-    assert store.prune() == [path]
-    assert store.entries() == []
+def test_resumed_campaign_caches_every_defect(small_spec, tmp_path):
+    """A resume judges only the pending half but caches the whole spec."""
+    exact = run_campaign(dataclasses.replace(small_spec, engine="exact"))
+    journal_path = tmp_path / "journal.jsonl"
+    with CampaignJournal(journal_path, small_spec.fingerprint()) as journal:
+        for outcome in exact.outcomes[: len(exact.outcomes) // 2]:
+            journal.record(outcome, group=small_spec.label)
+
+    resumed = run_campaign(small_spec, journal=journal_path, resume=True)
+    assert resumed.resumed == len(small_spec.defects) // 2
+    assert resumed.outcomes == exact.outcomes
+    entry = golden_cache.default_cache().load(small_spec.fingerprint())
+    assert set(entry.verdicts) == {d.index for d in small_spec.defects}
 
 
-# ---------------------------------------------------------------- cli
+def test_cold_worker_campaign_stores_complete_entry(small_spec):
+    """Workers that miss together each store the whole entry: none is lost."""
+    serial = run_campaign(dataclasses.replace(small_spec, engine="exact"))
+    pooled = run_campaign(small_spec, workers=3)
+    assert pooled.outcomes == serial.outcomes
+    entry = golden_cache.default_cache().load(small_spec.fingerprint())
+    assert set(entry.verdicts) == {d.index for d in small_spec.defects}
 
 
-def test_cli_cache_ls_and_clear(small_spec, capsys):
-    from repro.cli import main
+def test_exact_campaign_does_no_cache_io(small_spec):
+    spec = dataclasses.replace(small_spec, engine="exact")
+    with obs_runtime.session(detail="metrics") as session:
+        run_campaign(spec)
+        snapshot = session.registry.snapshot()
+    assert not any(
+        metric["value"]
+        for name, metric in snapshot.items()
+        if name.startswith("coverage.engine.golden_cache.")
+    )
+    assert _counter(snapshot, "coverage.engine.golden_cycles") > 0
+    assert not golden_cache.cache_root().exists()
 
-    assert main(["cache"]) == 0
-    assert "cache is empty" in capsys.readouterr().out
 
-    store = golden_cache.default_cache()
-    capture = capture_golden_with_trace(small_spec.program, "addr")
-    store.store(small_spec.fingerprint(), "addr", capture)
-
-    assert main(["cache", "ls"]) == 0
-    out = capsys.readouterr().out
-    assert "golden-run cache" in out
-    assert str(capture.golden.cycles) in out
-
-    assert main(["cache", "clear"]) == 0
-    assert "removed 1" in capsys.readouterr().out
-    assert store.entries() == []
+def test_unreadable_cache_dir_is_a_miss(small_spec, tmp_path, monkeypatch):
+    """A cache root that is a regular file costs time, never the run."""
+    expected = run_campaign(small_spec).outcomes
+    not_a_dir = tmp_path / "not-a-directory"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(not_a_dir))
+    with obs_runtime.session(detail="metrics") as session:
+        result = run_campaign(small_spec)
+        counters = _cache_counters(session.registry.snapshot())
+    assert result.outcomes == expected
+    assert counters["misses"] == 1
+    assert counters["stores"] == 0

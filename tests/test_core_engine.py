@@ -99,11 +99,14 @@ def test_per_line_programs_equivalent(builder, addr_setup):
 def test_simulate_without_prepare(addr_program, addr_setup):
     """Single-defect path must screen lazily (no prepare batch)."""
     exact = campaign(addr_program, addr_setup, "addr", "exact").build_engine()
-    screened = campaign(
-        addr_program, addr_setup, "addr", "screened"
-    ).build_engine()
+    screened = ScreenedEngine(
+        addr_program, addr_setup.params, addr_setup.calibration, "addr"
+    )
     for defect in addr_setup.library.defects[:5]:
         assert screened.check(defect) == exact.check(defect)
+    assert set(screened.verdicts) == {
+        defect.index for defect in addr_setup.library.defects[:5]
+    }
 
 
 def test_engines_share_golden_reference(addr_program, addr_setup):
