@@ -25,6 +25,7 @@ from typing import Sequence, Set, Tuple
 
 from repro.bist.controller import BistController
 from repro.core.program_builder import SelfTestProgram
+from repro.core.signature import capture_golden
 from repro.core.validate import observed_transitions
 from repro.soc.bus import BusDirection
 from repro.xtalk.calibration import Calibration
@@ -61,12 +62,14 @@ class OverTestReport:
 def collect_functional_transitions(
     programs: Sequence[SelfTestProgram], bus: str
 ) -> Set[Tuple[int, int, BusDirection]]:
-    """Transitions (with direction) the corpus produces on ``bus``."""
+    """Transitions (with direction) the corpus produces on ``bus``.
+
+    Raises ``RuntimeError`` for a corpus program that does not halt.
+    """
     transitions: Set[Tuple[int, int, BusDirection]] = set()
     for program in programs:
-        address_t, data_t, halted, _ = observed_transitions(program)
-        if not halted:
-            raise RuntimeError("corpus program did not halt")
+        capture_golden(program)  # raises, naming the end the run hit
+        address_t, data_t, _, _ = observed_transitions(program)
         if bus == "addr":
             transitions |= {
                 (v1, v2, BusDirection.CPU_TO_MEM) for v1, v2 in address_t

@@ -488,16 +488,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
     All logging goes to **stderr** (stdout carries only command
-    output), and Ctrl-C exits 130 with a resume hint instead of a
-    traceback — an interrupted journaled campaign picks up with
-    ``--resume``.
+    output) through a handler that lives for this call only, and
+    Ctrl-C exits 130 with a resume hint instead of a traceback — an
+    interrupted journaled campaign picks up with ``--resume``.
     """
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-    logging.getLogger("repro").addHandler(handler)
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    logger = logging.getLogger("repro")
+    logger.addHandler(handler)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except KeyboardInterrupt:
         print(
@@ -506,6 +506,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 130
+    finally:
+        # In-process callers (tests, notebooks) call main repeatedly; a
+        # handler left behind would duplicate every later log line and
+        # keep writing to a stream its caller may since have closed.
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -134,14 +134,18 @@ def capture_golden_with_trace(
 
     ``interval`` is the checkpoint spacing in cycles;
     ``None`` derives it from the golden cycle count via
-    :func:`auto_checkpoint_interval` (which costs one extra fault-free
-    run — negligible against a library-sized campaign).  Campaigns use
-    the derived spacing; tests pass an explicit one to exercise resume
-    from many checkpoints.
+    :func:`auto_checkpoint_interval`.  Campaigns use the derived
+    spacing; tests pass an explicit one to exercise resume from many
+    checkpoints.
+
+    A plain :func:`~repro.core.signature.capture_golden` probe runs
+    first (negligible against a library-sized campaign).  It raises the
+    ``RuntimeError`` for a program that does not halt, naming the end it
+    hit (proven loop or exhausted budget), and bounds the traced run.
     """
+    probe = signature.capture_golden(program)
+    _count_golden_cycles(probe.cycles)
     if interval is None:
-        probe = signature.capture_golden(program)
-        _count_golden_cycles(probe.cycles)
         interval = auto_checkpoint_interval(probe.cycles)
     if interval <= 0:
         raise ValueError("checkpoint interval must be positive")
@@ -151,15 +155,14 @@ def capture_golden_with_trace(
     _bus_of(system, bus).add_observer(trace.append)
     system.reset(program.entry)
     checkpoints = [Checkpoint(cycle=0, snapshot=system.snapshot())]
-    budget = signature.GOLDEN_CYCLE_BUDGET
-    while not system.cpu.halted and system.cycle < budget:
+    while not system.cpu.halted and system.cycle < probe.cycles:
         system.step()
         if system.cycle % interval == 0 and not system.cpu.halted:
             checkpoints.append(
                 Checkpoint(cycle=system.cycle, snapshot=system.snapshot())
             )
     if not system.cpu.halted:
-        raise RuntimeError("golden run did not reach the halt convention")
+        raise RuntimeError("traced golden run diverged from its probe")
     _count_golden_cycles(system.cycle)
     golden = GoldenReference(
         snapshot=system.memory.snapshot(),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.program_builder import SelfTestProgram
-from repro.soc.system import CpuMemorySystem
+from repro.soc.system import CpuMemorySystem, RunEnd
 
 #: Safety multiplier over the golden cycle count before a run is declared
 #: hung.  Crosstalk errors can lengthen execution (extra page-1/page-2
@@ -83,12 +83,21 @@ def capture_golden(program: SelfTestProgram) -> GoldenReference:
     ------
     RuntimeError
         If the program does not halt — that is a program-construction
-        bug, not a test outcome.
+        bug, not a test outcome.  The message says whether the run was
+        proven to loop (and at which cycle) or exhausted the budget.
     """
     system = make_system(program)
     result = system.run(entry=program.entry, max_cycles=GOLDEN_CYCLE_BUDGET)
     if not result.halted:
-        raise RuntimeError("golden run did not reach the halt convention")
+        end = (
+            "proven to loop forever"
+            if result.end is RunEnd.LOOP
+            else "exhausted the cycle budget"
+        )
+        raise RuntimeError(
+            "golden run did not reach the halt convention: "
+            f"{end} at cycle {result.cycles}"
+        )
     return GoldenReference(
         snapshot=system.memory.snapshot(),
         cycles=result.cycles,

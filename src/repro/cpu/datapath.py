@@ -10,7 +10,7 @@ the *same* access independently, exactly as the paper's HDL simulation does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.cpu.alu import (
     alu_add,
@@ -103,6 +103,14 @@ class Cpu:
     def decoded(self) -> Optional[DecodedOp]:
         """The currently-executing decoded instruction (None mid-fetch)."""
         return self._decoded
+
+    def boundary_state(self) -> Tuple[int, int, int]:
+        """``(pc, ac, flags)``, the CPU state one instruction hands the next.
+
+        Same contract as :meth:`repro.cpu.microcode.FastCpu.boundary_state`.
+        """
+        registers = self.registers
+        return (registers.pc, registers.ac, registers.flags.as_mask())
 
     def reset(self, pc: int = 0) -> None:
         """Reset architectural state and restart fetching at ``pc``."""

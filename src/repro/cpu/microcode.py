@@ -558,6 +558,15 @@ class FastCpu:
 
     # -- FSM-compatible surface ---------------------------------------
 
+    def boundary_state(self) -> Tuple[int, int, int]:
+        """``(pc, ac, flags)``, the CPU state one instruction hands the next.
+
+        Read between instructions.  Every other register and latch is
+        written by the next instruction before it is read, so these are
+        all of the CPU the hang proof needs (DESIGN §5.8).
+        """
+        return (self.pc, self.ac, self.flags)
+
     @property
     def state(self) -> ControlState:
         """The control state the next tick will execute."""

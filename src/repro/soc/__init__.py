@@ -12,7 +12,7 @@ from repro.soc.bus import Bus, BusDirection, BusTransaction, TransactionKind
 from repro.soc.hexfile import HexFormatError, dump_image, load_image
 from repro.soc.memory import Memory
 from repro.soc.mmio import MMIORegion, RegisterCore, RomCore
-from repro.soc.system import CpuMemorySystem, RunResult
+from repro.soc.system import CpuMemorySystem, RunEnd, RunResult
 from repro.soc.tracer import BusTracer, render_timing_diagram
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "RegisterCore",
     "RomCore",
     "CpuMemorySystem",
+    "RunEnd",
     "RunResult",
     "BusTracer",
     "render_timing_diagram",

@@ -146,7 +146,15 @@ class Bus:
         return self._value
 
     def install_corruption_hook(self, hook: Optional[CorruptionHook]) -> None:
-        """Install (or clear, with ``None``) the crosstalk corruption hook."""
+        """Install (or clear, with ``None``) the crosstalk corruption hook.
+
+        A hook must be a pure function of ``(previous, driven,
+        direction)``: the same transition always yields the same received
+        word.  Tallies on the side are fine; a result that depends on
+        history is not.  :class:`~repro.soc.system.CpuMemorySystem`
+        proves a run loops forever from a repeated state, and screened
+        replay reuses recorded decisions, and both rely on this.
+        """
         self._corruption_hook = hook
 
     def add_observer(self, observer: Callable[[BusTransaction], None]) -> None:

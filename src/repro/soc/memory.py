@@ -13,6 +13,11 @@ class Memory:
     The paper's demonstrator uses a single 4K instruction/data memory; the
     size is parameterized so synthetic systems (e.g. the bus-width scaling
     experiment) can use other sizes.
+
+    :attr:`version` rises on every write that changes a cell's value and
+    on every :meth:`restore` and :meth:`fill`, and never falls: two
+    moments of one run with the same version have the same content.  The
+    system's hang proof keys on it instead of hashing 4K per instruction.
     """
 
     def __init__(self, size: int = MEMORY_SIZE, fill: int = 0x00):
@@ -23,6 +28,7 @@ class Memory:
         self.size = size
         self._fill = fill
         self._cells = bytearray([fill] * size)
+        self.version = 0
 
     def _check(self, address: int) -> None:
         if not 0 <= address < self.size:
@@ -38,7 +44,9 @@ class Memory:
         self._check(address)
         if not 0 <= value < 256:
             raise ValueError(f"byte out of range: {value}")
-        self._cells[address] = value
+        if self._cells[address] != value:
+            self._cells[address] = value
+            self.version += 1
 
     def load_image(self, image: Mapping[int, int]) -> None:
         """Copy a sparse ``address -> byte`` image into memory."""
@@ -51,6 +59,7 @@ class Memory:
             raise ValueError(f"byte out of range: {value}")
         for index in range(self.size):
             self._cells[index] = value
+        self.version += 1
 
     def snapshot(self) -> bytes:
         """Return an immutable copy of the whole memory content."""
@@ -66,6 +75,7 @@ class Memory:
         if len(snapshot) != self.size:
             raise ValueError("snapshot size mismatch")
         self._cells[:] = snapshot
+        self.version += 1
 
     def region(self, start: int, length: int) -> bytes:
         """Return ``length`` bytes starting at ``start``."""

@@ -15,8 +15,10 @@ manifest in the paper (Section 3.2).
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from repro.cpu.control import STATE_CATEGORIES
 from repro.cpu.datapath import BusPort, CpuSnapshot
@@ -29,17 +31,39 @@ from repro.soc.memory import Memory
 from repro.soc.mmio import MMIORegion
 
 
+class RunEnd(enum.Enum):
+    """Why :meth:`CpuMemorySystem.run` or :meth:`~CpuMemorySystem.resume`
+    stopped clocking."""
+
+    #: The CPU executed the halt convention (a jump to its own first byte).
+    HALTED = "halted"
+    #: The full system state repeated at an instruction boundary, which
+    #: proves the run loops forever and can never halt (DESIGN §5.8).
+    LOOP = "loop"
+    #: ``max_cycles`` ran out before either of the above.
+    BUDGET = "budget"
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of running the CPU until halt or a cycle budget."""
+    """Outcome of running the CPU until halt, a proven loop or a cycle budget."""
 
-    halted: bool
+    end: RunEnd
     cycles: int
     instructions: int
 
     @property
+    def halted(self) -> bool:
+        """True when the run reached the halt convention."""
+        return self.end is RunEnd.HALTED
+
+    @property
     def timed_out(self) -> bool:
-        """True when the cycle budget expired before the halt convention."""
+        """True when the run did not halt: a proven loop or the budget.
+
+        A proven loop stops the run early, but it could never have
+        halted within any budget, so it counts as timed out too.
+        """
         return not self.halted
 
 
@@ -199,13 +223,15 @@ class CpuMemorySystem(BusPort):
 
         ``max_cycles`` bounds runaway programs — a crosstalk defect can send
         the CPU into an endless loop, which the defect simulator must treat
-        as a (detected) abnormal outcome rather than hang.
+        as a (detected) abnormal outcome rather than hang.  A run whose
+        full state repeats stops before the budget with
+        :attr:`RunEnd.LOOP` (see :meth:`_clock`).
 
         When an observability session is active the run additionally
         rolls its aggregate counters (cycles, instructions, per-bus
         transaction stats; FSM-state occupancy in full detail) into the
-        session registry.  With observability off, this method is the
-        plain tight loop it always was.
+        session registry.  With observability off, no counters are kept
+        and the clock loop ticks the CPU directly.
         """
         self.reset(entry)
         return self._drive(obs_runtime.active(), max_cycles, "cpu.runs")
@@ -221,38 +247,74 @@ class CpuMemorySystem(BusPort):
         """
         return self._drive(obs_runtime.active(), max_cycles, "cpu.resumes")
 
+    def _clock(self, tick: Callable[[], None], max_cycles: int) -> RunEnd:
+        """Call ``tick`` once per cycle until halt, a proven loop or
+        ``max_cycles``.
+
+        The hang proof: the system is deterministic and a bus corruption
+        hook is a pure function of its transition, so when the state at
+        an instruction boundary repeats, the run repeats forever.  That
+        state is the CPU's :meth:`boundary_state`, both buses' held words
+        and the memory content, known by :attr:`Memory.version`.  Versions
+        never fall, so keys seen under an older version cannot recur and
+        are dropped.  MMIO cores keep state outside the key, so a system
+        with ``mmio_regions`` is only stopped by halt or the budget — the
+        same rule :meth:`snapshot` applies.
+        """
+        cpu = self.cpu
+        if cpu.halted:
+            return RunEnd.HALTED
+        prove = not self.mmio_regions
+        boundary_state = cpu.boundary_state
+        memory = self.memory
+        address_bus = self.address_bus
+        data_bus = self.data_bus
+        seen: set = set()
+        version = memory.version
+        count = cpu.instruction_count
+        cycle = self.cycle
+        while cycle < max_cycles:
+            cycle += 1
+            self.cycle = cycle
+            tick()
+            if cpu.instruction_count == count:
+                continue
+            # An instruction boundary.  Halting retires the halt jump,
+            # so a halt is always seen here.
+            if cpu.halted:
+                return RunEnd.HALTED
+            count = cpu.instruction_count
+            if not prove:
+                continue
+            if memory.version != version:
+                version = memory.version
+                seen.clear()
+            # The held words are read directly: the ``value`` property
+            # would add two Python calls to every instruction.
+            key = (boundary_state(), address_bus._value, data_bus._value)
+            if key in seen:
+                return RunEnd.LOOP
+            seen.add(key)
+        return RunEnd.BUDGET
+
     def _drive(
         self, obs: Optional[Observability], max_cycles: int, run_counter: str
     ) -> RunResult:
-        """Clock the CPU until halt or ``max_cycles``; shared by run/resume."""
+        """Clock the CPU until it stops; shared by run/resume."""
         cpu = self.cpu
         if obs is None:
-            tick = cpu.tick
-            cycle = self.cycle
-            while not cpu.halted and cycle < max_cycles:
-                cycle += 1
-                self.cycle = cycle
-                tick()
+            end = self._clock(cpu.tick, max_cycles)
             return RunResult(
-                halted=cpu.halted,
-                cycles=self.cycle,
-                instructions=cpu.instruction_count,
+                end=end, cycles=self.cycle, instructions=cpu.instruction_count
             )
         cycles_before = self.cycle
         instructions_before = cpu.instruction_count
         before = [bus.stats() for bus in (self.address_bus, self.data_bus)]
         occupancy: dict = {}
-        if obs.full_detail:
-            while not cpu.halted and self.cycle < max_cycles:
-                self.cycle += 1
-                cpu.tick_counted(occupancy)
-        else:
-            while not cpu.halted and self.cycle < max_cycles:
-                self.step()
+        tick = partial(cpu.tick_counted, occupancy) if obs.full_detail else cpu.tick
+        end = self._clock(tick, max_cycles)
         result = RunResult(
-            halted=cpu.halted,
-            cycles=self.cycle,
-            instructions=cpu.instruction_count,
+            end=end, cycles=self.cycle, instructions=cpu.instruction_count
         )
         registry = obs.registry
         registry.counter(run_counter).inc()
@@ -262,6 +324,9 @@ class CpuMemorySystem(BusPort):
         )
         if result.timed_out:
             registry.counter("cpu.timeouts").inc()
+        if end is RunEnd.LOOP:
+            registry.counter("cpu.hangs_proven").inc()
+            registry.counter("cpu.cycles_elided").inc(max_cycles - self.cycle)
         for bus, earlier in zip((self.address_bus, self.data_bus), before):
             delta = bus.stats().delta(earlier)
             registry.counter(f"bus.{bus.name}.transactions").inc(

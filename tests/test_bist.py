@@ -132,17 +132,13 @@ out:    .byte 0
     assert report.unnecessary_yield_loss > 0.5
 
 
-def test_collect_functional_transitions_requires_halting_corpus(monkeypatch):
-    from repro.core import signature
+def test_collect_functional_transitions_requires_halting_corpus():
     from repro.core.program_builder import SelfTestProgram
-
-    # A lower budget fails the same way, without waiting out 10M cycles.
-    monkeypatch.setattr(signature, "GOLDEN_CYCLE_BUDGET", 10_000)
 
     looping = SelfTestProgram(
         image={0: 0x80, 1: 0x02, 2: 0xF0, 3: 0x80, 4: 0x00},
         entry=0,
         memory_size=4096,
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="proven to loop forever at cycle"):
         collect_functional_transitions([looping], "addr")

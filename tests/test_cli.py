@@ -124,6 +124,28 @@ def test_timing(capsys):
     assert "addr" in out and "data" in out
 
 
+def test_main_installs_one_log_handler_per_call(monkeypatch, capsys):
+    import logging
+
+    import repro.cli
+
+    logger = logging.getLogger("repro")
+    before = list(logger.handlers)
+    seen = []
+
+    def fake_timing(args):
+        seen.append(len(logger.handlers) - len(before))
+        logger.warning("one line per call")
+        return 0
+
+    monkeypatch.setattr(repro.cli, "cmd_timing", fake_timing)
+    assert main(["timing"]) == 0
+    assert main(["timing"]) == 0
+    assert seen == [1, 1]
+    assert logger.handlers == before
+    assert capsys.readouterr().err.count("one line per call") == 2
+
+
 def test_build_hex_export(tmp_path, capsys):
     out = tmp_path / "program.hex"
     assert main(["build", "--bus", "addr", "--hex", str(out)]) == 0

@@ -235,3 +235,63 @@ def make_system_with_mmio():
     return CpuMemorySystem(
         mmio_regions=[MMIORegion(base=0xF00, size=16, core=core)]
     )
+
+
+# -- hang proof ---------------------------------------------------------------
+
+
+def _stepped_check(engine, defect):
+    """The oracle's oracle: a plain step loop to the budget, no proof."""
+    from repro.core.signature import check_response
+    from repro.xtalk.error_model import CrosstalkErrorModel
+
+    system = make_system(engine.program)
+    model = CrosstalkErrorModel(defect.caps, engine.params, engine.calibration)
+    bus = system.address_bus if engine.bus == "addr" else system.data_bus
+    bus.install_corruption_hook(model.corrupt)
+    system.reset(engine.program.entry)
+    while not system.cpu.halted and system.cycle < engine.golden.max_cycles:
+        system.step()
+    return check_response(engine.golden, system, system.cpu.halted)
+
+
+@pytest.mark.parametrize("bus", ["addr", "data"])
+def test_proven_hangs_match_a_run_to_the_budget(builder, bus):
+    from repro import default_address_bus_setup, default_data_bus_setup
+    from repro.obs import runtime as obs_runtime
+
+    if bus == "addr":
+        setup = default_address_bus_setup()
+        program = builder.build_address_bus_program()
+    else:
+        setup = default_data_bus_setup()
+        program = builder.build_data_bus_program()
+    engine = ExactEngine(program, setup.params, setup.calibration, bus)
+    with obs_runtime.session() as session:
+        for defect in setup.library.defects[:100]:
+            assert engine.check(defect) == _stepped_check(engine, defect)
+    assert session.registry.snapshot()["cpu.hangs_proven"]["value"] >= 1
+
+
+def test_observed_hang_proof_counts(addr_program, addr_setup):
+    from repro.obs import runtime as obs_runtime
+
+    engine = ExactEngine(
+        addr_program, addr_setup.params, addr_setup.calibration, "addr"
+    )
+    defect = addr_setup.library.defects[2]  # hangs in a proven loop
+    untraced = engine.check(defect)
+    with obs_runtime.session() as session:
+        traced = engine.check(defect)
+    assert traced == untraced
+    assert traced.timed_out
+    counters = {
+        name: metric["value"]
+        for name, metric in session.registry.snapshot().items()
+    }
+    assert counters["cpu.hangs_proven"] == 1
+    assert counters["cpu.timeouts"] == 1
+    assert counters["cpu.cycles_elided"] == (
+        engine.golden.max_cycles - counters["cpu.cycles"]
+    )
+    assert counters["cpu.cycles_elided"] > 0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import signature
 from repro.core.program_builder import SelfTestProgram
 from repro.core.signature import (
     capture_golden,
@@ -33,17 +32,38 @@ def test_capture_golden_basic():
     assert golden.max_cycles > golden.cycles
 
 
-def test_capture_golden_raises_on_nonhalting(monkeypatch):
-    # A lower budget fails the same way, without waiting out 10M cycles.
-    monkeypatch.setattr(signature, "GOLDEN_CYCLE_BUDGET", 10_000)
+def test_capture_golden_raises_on_nonhalting():
     # jmp 0x002 at 0, nop at 2, jmp 0x000 at 3: ping-pongs forever.
     program = SelfTestProgram(
         image={0: 0x80, 1: 0x02, 2: 0xF0, 3: 0x80, 4: 0x00},
         entry=0,
         memory_size=4096,
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="proven to loop forever at cycle"):
         capture_golden(program)
+
+
+def test_capture_golden_names_an_exhausted_budget(monkeypatch):
+    from repro.core import signature
+    from repro.isa.assembler import assemble
+
+    # Counts in memory forever: no state repeats, so nothing is proven.
+    program = assemble(
+        """
+        .org 0x10
+loop:   lda count
+        add one
+        sta count
+        jmp loop
+count:  .byte 0
+one:    .byte 1
+        """
+    )
+    monkeypatch.setattr(signature, "GOLDEN_CYCLE_BUDGET", 5_000)
+    with pytest.raises(RuntimeError, match="exhausted the cycle budget at cycle 5000"):
+        capture_golden(
+            SelfTestProgram(image=program.image, entry=0x10, memory_size=4096)
+        )
 
 
 def test_check_response_pass():

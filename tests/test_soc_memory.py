@@ -61,3 +61,18 @@ def test_fill_and_addresses_with():
 
 def test_default_size_is_4k():
     assert Memory().size == 4096
+
+
+def test_version_rises_only_when_content_may_change():
+    memory = Memory(8)
+    start = memory.version
+    memory.write(3, 0)  # same value: content unchanged
+    assert memory.version == start
+    memory.write(3, 5)
+    assert memory.version == start + 1
+    memory.write(3, 5)
+    assert memory.version == start + 1
+    memory.restore(bytes(8))
+    assert memory.version == start + 2
+    memory.fill(0)
+    assert memory.version == start + 3

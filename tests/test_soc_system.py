@@ -2,7 +2,7 @@
 
 from repro.isa.assembler import assemble
 from repro.soc.bus import BusDirection
-from repro.soc.system import CpuMemorySystem
+from repro.soc.system import CpuMemorySystem, RunEnd
 from repro.soc.tracer import BusTracer
 
 
@@ -194,3 +194,71 @@ out:    .byte 0
     assert "operand_read" in kinds
     assert "operand_write" in kinds
     assert kinds.count("fetch") >= 4
+
+
+# -- hang proof -------------------------------------------------------------
+
+#: jmp 0x002 at 0, nop at 2, jmp 0x000 at 3: ping-pongs forever.
+PING_PONG = {0: 0x80, 1: 0x02, 2: 0xF0, 3: 0x80, 4: 0x00}
+
+
+def test_loop_rewriting_the_same_byte_is_proven():
+    system = CpuMemorySystem()
+    program = assemble(
+        """
+        .org 0x10
+loop:   lda val
+        sta out
+        jmp loop
+val:    .byte 0x5A
+out:    .byte 0
+        """
+    )
+    system.load_image(program.image)
+    result = system.run(entry=0x10, max_cycles=10_000)
+    assert result.end is RunEnd.LOOP
+    assert result.timed_out
+    # The first pass changes ``out``; the second repeats the first state.
+    assert result.cycles < 100
+
+
+def test_loop_counting_in_memory_is_not_proven():
+    system = CpuMemorySystem()
+    program = assemble(
+        """
+        .org 0x10
+loop:   lda count
+        add one
+        sta count
+        jmp loop
+count:  .byte 0
+one:    .byte 1
+        """
+    )
+    system.load_image(program.image)
+    result = system.run(entry=0x10, max_cycles=10_000)
+    assert result.end is RunEnd.BUDGET
+    assert result.cycles == 10_000
+
+
+def test_mmio_system_runs_to_the_budget():
+    from repro.soc.mmio import MMIORegion, RegisterCore
+
+    system = CpuMemorySystem(
+        mmio_regions=[MMIORegion(base=0xF00, size=8,
+                                 core=RegisterCore(register_count=8))]
+    )
+    system.load_image(PING_PONG)
+    result = system.run(entry=0, max_cycles=2_000)
+    assert result.end is RunEnd.BUDGET
+    assert result.cycles == 2_000
+
+
+def test_reference_core_proves_the_ping_pong_loop():
+    from repro.cpu.lockstep import reference_system
+
+    system = reference_system()
+    system.load_image(PING_PONG)
+    result = system.run(entry=0, max_cycles=1_000_000)
+    assert result.end is RunEnd.LOOP
+    assert result.cycles < 50
