@@ -243,7 +243,9 @@ class CampaignSpec:
         exact engine simulates its own golden run and does no cache I/O.
         The screened engine loads its golden capture and screen verdicts
         from the content-addressed artifact cache; a warm entry means
-        *zero* golden simulation and no screen.  When the entry is
+        *zero* golden simulation and no screen.  Every screened build
+        prepares the engine with the spec's defects, so replay dedup
+        knows the whole library, warm or cold.  When the entry is
         missing, or its verdicts do not cover every defect of the spec,
         the build captures the golden run (entry missing only), screens
         the whole library once and stores one complete entry.  Cache
@@ -262,10 +264,11 @@ class CampaignSpec:
             capture=entry.capture if entry else None,
             verdicts=entry.verdicts if entry else None,
         )
-        if entry is None or any(
-            defect.index not in entry.verdicts for defect in self.defects
-        ):
-            engine.prepare(self.defects)
+        complete = entry is not None and all(
+            defect.index in entry.verdicts for defect in self.defects
+        )
+        engine.prepare(self.defects)
+        if not complete:
             try:
                 store.store(
                     fingerprint, self.bus, engine.capture, engine.verdicts

@@ -21,16 +21,19 @@ values; *how* a defect is judged is an engine concern:
        pass,
     3. skips simulation entirely for defects whose trace is clean
        (provably undetected — outcome identical to fault-free),
-    4. *dedups* the rest by replay behavior: every real replay records
-       the ``transition -> received`` decisions its run actually used;
-       a later defect whose kernel agrees with a recorded run on every
-       one of those transitions provably reproduces that run cycle for
-       cycle, so its outcome is reused without simulating (random
-       capacitance perturbations cluster heavily — thousands of
-       corrupting defects typically collapse to a few dozen behaviors),
-    5. and replays the genuinely new behaviors from the last golden
-       checkpoint before their first corrupted transaction — the replay
-       only pays for the suffix.
+    4. groups the corrupting defects by their first corrupted
+       transaction and replays one defect per behavior from the last
+       golden checkpoint before that transaction — the replay only pays
+       for the suffix,
+    5. and *dedups* the rest of the group against that replay in one
+       pass: the replay records the ``transition -> received`` decisions
+       its run actually used, :func:`~repro.xtalk.screen.first_mismatch`
+       tests every pending defect of the group against them, and each
+       defect whose kernel agrees on every one provably reproduces the
+       run cycle for cycle, so it gets the replay's outcome without
+       simulating (random capacitance perturbations cluster heavily —
+       thousands of corrupting defects typically collapse to a few
+       dozen behaviors).
 
     The outcomes are bit-identical to :class:`ExactEngine` by
     construction: clean defects cannot diverge, a deduped defect's run
@@ -68,9 +71,8 @@ from repro.soc.system import CpuMemorySystem, SystemSnapshot
 from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
 from repro.xtalk.error_model import CrosstalkErrorModel
-from repro.xtalk.kernel import TransitionKernel
 from repro.xtalk.params import ElectricalParams
-from repro.xtalk.screen import DecisionEvaluator, ScreenVerdict, TraceScreen
+from repro.xtalk.screen import ScreenVerdict, TraceScreen, first_mismatch
 
 #: Bounds on the automatic checkpoint spacing (cycles).  The golden runs
 #: of per-line programs are well under 100 cycles, so the lower clamp
@@ -234,45 +236,6 @@ class ExactEngine(SimulationEngine):
 #: A fault-free run is indistinguishable from golden by definition.
 CLEAN_CHECK = ResponseCheck(detected=False, timed_out=False, mismatches=0)
 
-#: Cap on recorded replay behaviors per first-corruption group.  Real
-#: libraries collapse to a handful of behaviors per group; the cap only
-#: bounds the cost of the agreement scan if a pathological library keeps
-#: producing new ones (defects beyond it are simply replayed).
-MAX_REPLAY_CLASSES = 32
-
-#: Total recorded decision entries in a group beyond which the
-#: agreement scan switches from the scalar kernel to the vectorized
-#: :class:`DecisionEvaluator` (timed-out replays record hundreds of
-#: transitions; below this the scalar scan with move-to-front wins).
-VECTOR_MATCH_MIN_ENTRIES = 64
-
-#: One deduplicated transition decision: ``(previous, driven, direction)
-#: -> received``.
-_Decision = Tuple[Tuple[int, int, BusDirection], int]
-
-
-class _ReplayClass:
-    """One observed replay behavior and the outcome it produced.
-
-    ``decisions`` holds every distinct corruptible transition the
-    recorded run pushed through its corruption hook, with the word the
-    receiver sampled.  Any defect whose kernel reproduces all of these
-    decisions drives the deterministic system through the identical
-    cycle sequence, so it provably shares ``check``.  The record is
-    immutable; ``evaluator`` lazily caches the vectorized matcher for
-    large decision maps.
-    """
-
-    __slots__ = ("decisions", "check", "evaluator")
-
-    def __init__(
-        self, decisions: Tuple[_Decision, ...], check: ResponseCheck
-    ):
-        self.decisions = decisions
-        self.check = check
-        self.evaluator: Optional[DecisionEvaluator] = None
-
-
 class ScreenedEngine(SimulationEngine):
     """Screen the library against the golden trace; replay only divergers.
 
@@ -285,6 +248,9 @@ class ScreenedEngine(SimulationEngine):
         simulation; ``verdicts`` preloads screening results keyed by
         defect index, so already-screened defects skip the screen too.
         :attr:`verdicts` holds every verdict known so far.
+
+    The engine learns its library from :meth:`prepare`; only prepared
+    defects are deduplicated against a replay of their group.
     """
 
     name = "screened"
@@ -313,23 +279,33 @@ class ScreenedEngine(SimulationEngine):
         self.screen = TraceScreen(capture.trace, params, calibration)
         self._scratch = make_system(program, self._base_image)
         self.verdicts: Dict[int, ScreenVerdict] = dict(verdicts or {})
-        # first corrupted trace index -> replay behaviors seen so far,
-        # most-recently-matched first (defect libraries cluster, so the
-        # scan almost always hits the front entry).
-        self._replay_classes: Dict[int, List[_ReplayClass]] = {}
+        # first corrupted trace index -> prepared defects of that group
+        # not judged yet, by defect index, in library order.
+        self._pending: Dict[int, Dict[int, Defect]] = {}
+        # defect index -> outcome of a replay it provably reproduces.
+        self._deduped: Dict[int, ResponseCheck] = {}
         self.last_model = None
 
     # -- screening ----------------------------------------------------------
 
     def prepare(self, defects: Iterable[Defect]) -> None:
         """Screen, in one vectorized pass, every defect not yet in
-        :attr:`verdicts`.  Without it :meth:`check` screens lazily, one
-        defect at a time."""
+        :attr:`verdicts`, and group the corrupting ones by their first
+        corrupted transaction for replay dedup.  Without it
+        :meth:`check` screens lazily, one defect at a time, and replays
+        every corrupting defect."""
+        defects = list(defects)
         missing = [
             defect for defect in defects if defect.index not in self.verdicts
         ]
-        for defect, verdict in zip(missing, self.screen.screen(missing)):
-            self.verdicts[defect.index] = verdict
+        if missing:  # a complete cache entry leaves nothing to screen
+            for defect, verdict in zip(missing, self.screen.screen(missing)):
+                self.verdicts[defect.index] = verdict
+        for defect in defects:
+            verdict = self.verdicts[defect.index]
+            if not verdict.clean and defect.index not in self._deduped:
+                group = self._pending.setdefault(verdict.first_index, {})
+                group[defect.index] = defect
 
     def _verdict_for(self, defect: Defect) -> ScreenVerdict:
         verdict = self.verdicts.get(defect.index)
@@ -354,48 +330,6 @@ class ScreenedEngine(SimulationEngine):
 
     # -- judging ------------------------------------------------------------
 
-    def _agrees(
-        self, known: _ReplayClass, defect: Defect, kernel: TransitionKernel
-    ) -> bool:
-        """Does ``defect`` reproduce every decision of ``known``'s run?
-
-        Agreement must hold on *every* transition the recorded run
-        pushed through its hook — including the ones it left intact —
-        because a defect that additionally corrupts a later transition
-        of that run would diverge from it there.  Large decision maps
-        (timed-out replays record hundreds of transitions) go through
-        the vectorized :class:`DecisionEvaluator`; small maps and
-        borderline comparisons use the scalar kernel.
-        """
-        if len(known.decisions) >= VECTOR_MATCH_MIN_ENTRIES:
-            if known.evaluator is None:
-                known.evaluator = DecisionEvaluator(
-                    known.decisions, self.params, self.calibration,
-                    width=defect.caps.wire_count,
-                )
-            agreement = known.evaluator.agreement(defect.caps)
-            if agreement is not None:
-                return bool(agreement.all())
-            # Borderline comparison: only the scalar kernel is exact.
-        decide = kernel.decide
-        return all(
-            decide(previous, driven, direction)[0] == received
-            for (previous, driven, direction), received in known.decisions
-        )
-
-    def _matching_class(
-        self, classes: List[_ReplayClass], defect: Defect,
-        kernel: TransitionKernel,
-    ) -> Optional[_ReplayClass]:
-        """The recorded behavior ``defect`` reproduces, if any."""
-        for position, known in enumerate(classes):
-            if self._agrees(known, defect, kernel):
-                if position:  # move-to-front: clusters are heavily skewed
-                    del classes[position]
-                    classes.insert(0, known)
-                return known
-        return None
-
     def check(self, defect: Defect) -> ResponseCheck:
         verdict = self._verdict_for(defect)
         registry = obs_runtime.registry()
@@ -404,23 +338,21 @@ class ScreenedEngine(SimulationEngine):
             self.last_model = None
             registry.counter("coverage.engine.screened_clean").inc()
             return CLEAN_CHECK
-        kernel = TransitionKernel(defect.caps, self.params, self.calibration)
-        classes = self._replay_classes.setdefault(verdict.first_index, [])
-        known = self._matching_class(classes, defect, kernel)
+        known = self._deduped.get(defect.index)
         if known is not None:
             # Provably identical to an already-simulated defective run.
             self.last_model = None
             registry.counter("coverage.engine.replay_deduped").inc()
-            return known.check
+            return known
+        group = self._pending.get(verdict.first_index, {})
+        group.pop(defect.index, None)
         registry.counter("coverage.engine.replayed").inc()
         checkpoint = self._checkpoint_before(verdict.first_cycle)
         if checkpoint.cycle > 0:
             registry.counter("coverage.engine.checkpoint_resumed").inc()
         system = self._scratch
         system.restore(checkpoint.snapshot)
-        model = CrosstalkErrorModel(
-            defect.caps, self.params, self.calibration, kernel=kernel
-        )
+        model = CrosstalkErrorModel(defect.caps, self.params, self.calibration)
         corrupt = model.corrupt
         decisions: Dict[Tuple[int, int, BusDirection], int] = {}
 
@@ -440,10 +372,21 @@ class ScreenedEngine(SimulationEngine):
             bus.install_corruption_hook(None)
         self.last_model = model
         outcome = check_response(self.golden, system, result.halted)
-        if len(classes) < MAX_REPLAY_CLASSES:
-            classes.append(
-                _ReplayClass(decisions=tuple(decisions.items()), check=outcome)
+        if group:
+            # Agreement must hold on *every* transition the recorded run
+            # pushed through its hook, including the ones it left
+            # intact: a defect that corrupts one more of them diverges
+            # there.  A defect that agrees on all of them drives the
+            # deterministic system through this run cycle for cycle.
+            others = list(group.values())
+            positions = first_mismatch(
+                list(decisions), list(decisions.values()), others,
+                self.params, self.calibration,
             )
+            for other, position in zip(others, positions):
+                if position < 0:
+                    self._deduped[other.index] = outcome
+                    del group[other.index]
         return outcome
 
 

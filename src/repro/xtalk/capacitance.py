@@ -43,7 +43,13 @@ class CapacitanceSet:
     coupling: Tuple[Tuple[float, ...], ...]
     ground: Tuple[float, ...]
 
+    def __hash__(self) -> int:
+        return self._hash
+
     def __post_init__(self):
+        # Sets key the screen's per-defect array cache; hashing the
+        # nested tuples on every lookup cost more than the lookup.
+        object.__setattr__(self, "_hash", hash((self.coupling, self.ground)))
         n = len(self.ground)
         if len(self.coupling) != n:
             raise ValueError("coupling matrix size must match ground vector")

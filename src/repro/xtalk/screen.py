@@ -18,19 +18,23 @@ A :class:`TraceScreen` evaluates a whole
 and returns, per defect, the index/cycle of its first corrupted
 transaction or a ``clean`` verdict.
 
-:meth:`TraceScreen.screen` is vectorized: unique transitions are reduced
-to aggressor weight vectors once, per-defect thresholds (which only
-depend on each defect's capacitance matrix) are computed in bulk, and
-batched matrix products classify ``(defect, transition)`` pairs.  The
-unique transitions are scanned in blocks of increasing size, in
-first-occurrence order, and a defect retires at the first block that
-corrupts it; the first corrupted position inside that block is its
-verdict.  Because first occurrences increase along the unique list,
-this is the same verdict as a full scan, but most defects of a
-corrupting library never see the later blocks.  Comparisons use a small
-conservative epsilon band: a borderline margin is treated as
-*corrupting*, so a float summation-order difference against the scalar
-kernel can only cause a redundant replay, never a missed one.
+The vectorized work is :func:`first_mismatch`, one block scan that
+computes the received word per ``(defect, transition)`` and reports
+each defect's first transition whose word differs from a target.
+:meth:`TraceScreen.screen` uses it with the driven words as targets:
+unique transitions, in first-occurrence order, are reduced to aggressor
+weight vectors once, per-defect thresholds (which only depend on each
+defect's capacitance matrix) are computed in bulk, and batched matrix
+products classify ``(defect, transition)`` pairs.  The transitions are
+scanned in blocks of increasing size and a defect retires at the first
+block that corrupts it; the first corrupted position inside that block
+is its verdict.  Because first occurrences increase along the unique
+list, this is the same verdict as a full scan, but most defects of a
+corrupting library never see the later blocks.  The screened engine's
+replay dedup uses the same scan with a recorded replay's received words
+as targets.  Comparisons use a small epsilon band: a row with a margin
+inside it goes to the scalar kernel, so a float summation-order
+difference can never change an answer.
 
 :meth:`TraceScreen.screen_one` is the scalar reference: one
 :class:`TransitionKernel` scan over the deduplicated transitions with
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,17 +59,18 @@ from repro.xtalk.kernel import TransitionKernel
 from repro.xtalk.params import LN2, ElectricalParams
 
 #: Relative half-width of the borderline band around every threshold
-#: comparison in the vectorized paths.  float64 dot products over a
+#: comparison in :func:`first_mismatch`.  float64 dot products over a
 #: dozen terms are accurate to ~1e-15 relative, so 1e-9 is a generous
-#: safety margin while keeping spurious replays to (essentially) zero.
+#: safety margin while keeping scalar fallbacks to (essentially) zero.
 EPSILON = 1e-9
 
-#: Unique transitions in the first screening block; each later block is
-#: twice the size of the one before, so a scan costs O(log U) passes.
+#: Transitions in the first block of a scan; each later block is twice
+#: the size of the one before, so a scan costs O(log U) passes.
 FIRST_BLOCK = 16
 
-#: Bound on the elements of one ``[defects, block, wires]`` temporary.
-MAX_BLOCK_ELEMENTS = 8_000_000
+#: Memory bound, not a tuning knob: elements in one ``[defects, block,
+#: wires]`` temporary of :func:`first_mismatch` (256 KiB of float64).
+MAX_BLOCK_ELEMENTS = 32_768
 
 
 #: ``CapacitanceSet -> (coupling [n, n], ground [n])`` float64 arrays.
@@ -86,9 +91,61 @@ def _defect_arrays(caps: CapacitanceSet):
     return cached
 
 
-def _margin_caps(params: ElectricalParams, calibration: Calibration):
-    """Per-direction delay margins in the capacitance domain, ``[2]``
-    (ordered CPU_TO_MEM, MEM_TO_CPU), plus the glitch scale factor."""
+def first_mismatch(
+    transitions: Sequence[Tuple[int, int, BusDirection]],
+    targets: Sequence[int],
+    defects: Sequence[Defect],
+    params: ElectricalParams,
+    calibration: Calibration,
+) -> List[int]:
+    """Each defect's first transition whose received word is not its target.
+
+    For every defect, the kernel's received word is computed for
+    ``transitions`` in order and compared with ``targets`` (one word per
+    transition); the result is the position of the first difference, or
+    ``-1`` when the defect reproduces every target.  The library screen
+    asks with ``targets`` equal to the driven words (first corrupted
+    transition); the engine's replay dedup asks with the words a recorded
+    replay received (first disagreement with that run).
+
+    The transitions are scanned in blocks of :data:`FIRST_BLOCK`, then
+    twice that, and so on, and a defect is dropped at the first block
+    that holds a difference, so a library that mostly differs early
+    never pays for the later blocks.  Every threshold comparison is made
+    with a :data:`EPSILON` band: a row with any wire inside the band is
+    borderline, and its received word comes from the scalar
+    :meth:`TransitionKernel.decide`, so the answer is exact.
+    """
+    first = np.full(len(defects), -1, dtype=np.int64)
+    count = len(transitions)
+    if not defects or not count:
+        return first.tolist()
+    width = defects[0].caps.wire_count
+
+    # Per-transition aggressor geometry, the vector form of what
+    # TransitionKernel.decide derives per call: quiet aggressors weigh
+    # 1x, opposite-direction aggressors 2x, same-direction aggressors
+    # 0x, and stable victims see the signed injected charge of their
+    # switching neighbours.
+    previous = np.array([t[0] for t in transitions], dtype=np.int64)
+    driven = np.array([t[1] for t in transitions], dtype=np.int64)
+    expected_flips = driven ^ np.array(targets, dtype=np.int64)  # [T]
+    direction_index = np.array(
+        [0 if t[2] is BusDirection.CPU_TO_MEM else 1 for t in transitions],
+        dtype=np.int64,
+    )
+    powers = 1 << np.arange(width, dtype=np.int64)
+    switching_mask = ((previous ^ driven)[:, None] & powers) != 0  # [T, n]
+    high_mask = (driven[:, None] & powers) != 0  # [T, n]
+    up_mask = switching_mask & high_mask  # victims switching 0 -> 1
+    up = up_mask.astype(np.float64)
+    down = switching_mask.astype(np.float64) - up
+    stable = 1.0 - up - down
+    weights_rising = stable + 2.0 * down
+    weights_falling = stable + 2.0 * up
+    signed = up - down
+
+    # Per-defect thresholds in the capacitance domain.
     margin_cap = np.array(
         [
             calibration.margin_for(direction)
@@ -98,137 +155,70 @@ def _margin_caps(params: ElectricalParams, calibration: Calibration):
                 BusDirection.MEM_TO_CPU,
             )
         ]
-    )
+    )  # [2]
     scale = params.glitch_attenuation * params.vdd
-    return margin_cap, scale
+    arrays = [_defect_arrays(d.caps) for d in defects]
+    coupling = np.stack([a[0] for a in arrays])  # [D, n, n]
+    ground = np.stack([a[1] for a in arrays])  # [D, n]
+    glitch_threshold = (
+        calibration.v_th * (ground + coupling.sum(axis=2)) / scale
+    )  # [D, n]
+    eps_glitch = EPSILON * (np.abs(glitch_threshold) + 1.0)
+    slack = margin_cap[None, :, None] - ground[:, None, :]  # [D, 2, n]
 
-
-class _TransitionFeatures:
-    """Per-transition aggressor geometry shared by the vectorized paths.
-
-    For a list of transitions, precomputes the bit masks and Miller
-    aggressor-weight matrices that :meth:`TransitionKernel.decide`
-    derives per call: quiet aggressors weigh 1x, opposite-direction
-    aggressors 2x, same-direction aggressors 0x, and stable victims see
-    the signed injected charge of their switching neighbours.
-    """
-
-    __slots__ = (
-        "bits",
-        "switching_mask",
-        "up_mask",
-        "high_mask",
-        "weights_rising",
-        "weights_falling",
-        "signed",
-    )
-
-    def __init__(self, previous, driven, width: int):
-        bits = (1 << np.arange(width, dtype=np.int64))[None, :]
-        changed = ((previous ^ driven)[:, None] & bits) != 0  # [T, n]
-        high = (driven[:, None] & bits) != 0  # [T, n]
-        switching = changed.astype(np.float64)
-        stable = 1.0 - switching
-        up = (changed & high).astype(np.float64)
-        down = switching - up
-        self.bits = bits
-        self.switching_mask = changed
-        self.up_mask = changed & high  # victims switching 0 -> 1
-        self.high_mask = high
-        self.weights_rising = stable + 2.0 * down
-        self.weights_falling = stable + 2.0 * up
-        self.signed = up - down  # injected-charge sign for stable victims
-
-
-def _direction_indices(directions: Sequence[BusDirection]):
-    return np.array(
-        [0 if d is BusDirection.CPU_TO_MEM else 1 for d in directions],
-        dtype=np.int64,
-    )
-
-
-class DecisionEvaluator:
-    """Vectorized re-evaluation of recorded corruption decisions.
-
-    Built by the screened engine's replay-dedup tier from the decisions
-    one recorded replay pushed through its corruption hook:
-    ``decisions`` is a sequence of ``((previous, driven, direction),
-    received)`` entries (several runs' records may be concatenated — the
-    caller keeps track of the slices).  :meth:`agreement` answers, for
-    one capacitance set, on which entries the scalar
-    :meth:`~repro.xtalk.kernel.TransitionKernel.decide` would sample the
-    same received word — in a handful of matrix products instead of a
-    Python loop per wire.
-
-    Exactness: comparisons use the same conservative :data:`EPSILON`
-    band as the library screen, but here a borderline entry cannot be
-    resolved safely in either direction (agreement feeds outcome
-    *reuse*, where both false positives and false negatives would be
-    wrong), so :meth:`agreement` returns ``None`` and the caller falls
-    back to the scalar kernel.
-    """
-
-    def __init__(
-        self,
-        decisions: Sequence[Tuple[Tuple[int, int, BusDirection], int]],
-        params: ElectricalParams,
-        calibration: Calibration,
-        width: int,
-    ):
-        self.calibration = calibration
-        transitions = [t for t, _ in decisions]
-        self._previous = np.array([t[0] for t in transitions], dtype=np.int64)
-        self._driven = np.array([t[1] for t in transitions], dtype=np.int64)
-        self._direction_index = _direction_indices([t[2] for t in transitions])
-        self._expected = np.array([r for _, r in decisions], dtype=np.int64)
-        self._features = _TransitionFeatures(
-            self._previous, self._driven, width
-        )
-        self._margin_cap, self._scale = _margin_caps(params, calibration)
-
-    def __len__(self) -> int:
-        return int(self._expected.shape[0])
-
-    def agreement(self, caps: CapacitanceSet):
-        """Per-entry agreement with the recorded received words.
-
-        Returns a boolean array (one entry per decision), or ``None``
-        when any comparison fell inside the borderline band and the
-        scalar kernel must decide instead.
-        """
-        f = self._features
-        coupling, ground = _defect_arrays(caps)
-        glitch_threshold = (
-            self.calibration.v_th * (ground + coupling.sum(axis=1))
-            / self._scale
-        )  # [n]
-        slack = self._margin_cap[:, None] - ground[None, :]  # [2, n]
-
-        # coupling is symmetric, so W @ coupling sums over neighbours j
-        # of victim i exactly as the kernel's inner loop does.
-        load_rising = f.weights_rising @ coupling  # [T, n]
-        load_falling = f.weights_falling @ coupling
-        injected = f.signed @ coupling
-
-        load = np.where(f.up_mask, load_rising, load_falling)
-        slack_t = slack[self._direction_index, :]  # [T, n]
-        delay_margin = load - slack_t
-        eps_delay = EPSILON * (np.abs(slack_t) + 1.0)
-
-        polarity = np.where(f.high_mask, -injected, injected)
-        glitch_margin = polarity - glitch_threshold[None, :]
-        eps_glitch = EPSILON * (np.abs(glitch_threshold)[None, :] + 1.0)
-
-        uncertain = (
-            (f.switching_mask & (np.abs(delay_margin) <= eps_delay))
-            | (~f.switching_mask & (np.abs(glitch_margin) <= eps_glitch))
-        )
-        if uncertain.any():
-            return None
-        delay_hit = f.switching_mask & (delay_margin > eps_delay)
-        glitch_hit = ~f.switching_mask & (glitch_margin > eps_glitch)
-        flips = np.where(delay_hit | glitch_hit, f.bits, 0).sum(axis=1)
-        return (self._driven ^ flips) == self._expected
+    max_block = max(FIRST_BLOCK, MAX_BLOCK_ELEMENTS // width)
+    kernels: Dict[int, TransitionKernel] = {}  # borderline rows only
+    active = np.arange(len(defects))
+    start, block = 0, FIRST_BLOCK
+    while start < count and active.size:
+        stop = min(count, start + block)
+        rows = max(1, MAX_BLOCK_ELEMENTS // ((stop - start) * width))
+        switching = switching_mask[start:stop]
+        directions = direction_index[start:stop]
+        for lo in range(0, active.size, rows):
+            chunk = active[lo:lo + rows]
+            c = coupling[chunk]
+            # coupling is symmetric, so W @ coupling sums over
+            # neighbours j of victim i as the kernel's loop does.
+            load = np.where(
+                up_mask[start:stop],
+                np.matmul(weights_rising[start:stop], c),
+                np.matmul(weights_falling[start:stop], c),
+            )  # [d, B, n]
+            slack_t = slack[chunk][:, directions, :]  # [d, B, n]
+            delay_margin = load - slack_t
+            eps_delay = EPSILON * (np.abs(slack_t) + 1.0)
+            injected = np.matmul(signed[start:stop], c)
+            glitch_margin = (
+                np.where(high_mask[start:stop], -injected, injected)
+                - glitch_threshold[chunk][:, None, :]
+            )
+            eps_g = eps_glitch[chunk][:, None, :]
+            flipped = np.where(
+                switching, delay_margin > eps_delay, glitch_margin > eps_g
+            )
+            differs = (
+                flipped.astype(np.int64) @ powers != expected_flips[start:stop]
+            )  # [d, B]
+            borderline = np.where(
+                switching,
+                np.abs(delay_margin) <= eps_delay,
+                np.abs(glitch_margin) <= eps_g,
+            ).any(axis=2)
+            for row, column in zip(*np.nonzero(borderline)):
+                index = chunk[row]
+                if index not in kernels:
+                    kernels[index] = TransitionKernel(
+                        defects[index].caps, params, calibration
+                    )
+                position = start + column
+                received = kernels[index].decide(*transitions[position])[0]
+                differs[row, column] = received != targets[position]
+            hit = differs.any(axis=1)
+            first[chunk[hit]] = start + differs[hit].argmax(axis=1)
+        active = active[first[active] < 0]
+        start, block = stop, min(2 * block, max_block)
+    return first.tolist()
 
 
 @dataclass(frozen=True)
@@ -298,7 +288,6 @@ class TraceScreen:
         self._uniques = uniques
         self._first_occurrence = first_occurrence
         self._cycles = cycles
-        self._features = None
 
     @property
     def unique_transitions(self) -> int:
@@ -331,72 +320,14 @@ class TraceScreen:
 
     # -- vectorized library screen ------------------------------------------
 
-    def _prepare(self, width: int):
-        """Per-transition arrays, built once per screen instance."""
-        previous = np.array([u[0] for u in self._uniques], dtype=np.int64)
-        driven = np.array([u[1] for u in self._uniques], dtype=np.int64)
-        direction_index = _direction_indices([u[2] for u in self._uniques])
-        features = _TransitionFeatures(previous, driven, width)
-        margin_cap, scale = _margin_caps(self.params, self.calibration)
-        return direction_index, features, margin_cap, scale
-
     def screen(self, defects: Iterable[Defect]) -> List[ScreenVerdict]:
         """Evaluate every defect; one vectorized pass with early exit."""
         defects = list(defects)
-        if not defects or not self._uniques:
-            return [self._verdict(defect, -1) for defect in defects]
-        count = len(self._uniques)
-        width = defects[0].caps.wire_count
-        if self._features is None:
-            self._features = self._prepare(width)
-        direction_index, f, margin_cap, scale = self._features
-
-        arrays = [_defect_arrays(d.caps) for d in defects]
-        coupling = np.stack([a[0] for a in arrays])  # [D, n, n]
-        ground = np.stack([a[1] for a in arrays])  # [D, n]
-        glitch_threshold = (
-            self.calibration.v_th * (ground + coupling.sum(axis=2)) / scale
-        )  # [D, n]
-        eps_glitch = EPSILON * (np.abs(glitch_threshold) + 1.0)
-        slack = margin_cap[None, :, None] - ground[:, None, :]  # [D, 2, n]
-
-        first = np.full(len(defects), -1, dtype=np.int64)
-        active = np.arange(len(defects))
-        start, block = 0, FIRST_BLOCK
-        while start < count and active.size:
-            stop = min(count, start + block)
-            rows = max(1, MAX_BLOCK_ELEMENTS // ((stop - start) * width))
-            up = f.up_mask[start:stop]
-            switching = f.switching_mask[start:stop]
-            high = f.high_mask[start:stop]
-            rising = f.weights_rising[start:stop]
-            falling = f.weights_falling[start:stop]
-            signed = f.signed[start:stop]
-            directions = direction_index[start:stop]
-            for lo in range(0, active.size, rows):
-                chunk = active[lo:lo + rows]
-                c = coupling[chunk]
-                # coupling is symmetric, so W @ coupling sums over
-                # neighbours j of victim i as the kernel's loop does.
-                load = np.where(
-                    up, np.matmul(rising, c), np.matmul(falling, c)
-                )  # [d, B, n]
-                slack_t = slack[chunk][:, directions, :]  # [d, B, n]
-                delay_hit = switching & (
-                    load - slack_t > -EPSILON * (np.abs(slack_t) + 1.0)
-                )
-                injected = np.matmul(signed, c)
-                polarity = np.where(high, -injected, injected)
-                glitch_hit = ~switching & (
-                    polarity - glitch_threshold[chunk][:, None, :]
-                    > -eps_glitch[chunk][:, None, :]
-                )
-                corrupted = (delay_hit | glitch_hit).any(axis=2)  # [d, B]
-                hit = corrupted.any(axis=1)
-                first[chunk[hit]] = start + corrupted[hit].argmax(axis=1)
-            active = active[first[active] < 0]
-            start, block = stop, 2 * block
+        positions = first_mismatch(
+            self._uniques, [driven for _, driven, _ in self._uniques],
+            defects, self.params, self.calibration,
+        )
         return [
             self._verdict(defect, position)
-            for defect, position in zip(defects, first.tolist())
+            for defect, position in zip(defects, positions)
         ]

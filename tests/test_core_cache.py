@@ -140,6 +140,33 @@ def test_cold_and_warm_campaigns_are_identical(small_spec):
     assert warm.coverage() == cold.coverage()
 
 
+def test_warm_build_dedups_like_a_cold_build(address_setup, builder):
+    """A warm engine groups its library for dedup: no extra replays."""
+    faults = [f for f in builder.address_faults() if f.victim == 5]
+    spec = CampaignSpec(
+        program=builder.build_address_bus_program(faults),
+        params=address_setup.params,
+        calibration=address_setup.calibration,
+        defects=tuple(address_setup.library),
+        bus="addr",
+    )
+    runs = []
+    for _ in ("cold", "warm"):
+        with obs_runtime.session(detail="metrics") as session:
+            result = run_campaign(spec)
+            snapshot = session.registry.snapshot()
+        runs.append((
+            result.outcomes,
+            _counter(snapshot, "coverage.engine.replayed"),
+            _counter(snapshot, "coverage.engine.replay_deduped"),
+            _cache_counters(snapshot)["hits"],
+        ))
+    (cold, cold_replayed, cold_deduped, cold_hits), warm = runs
+    assert (cold_hits, warm[3]) == (0, 1)
+    assert cold_deduped > 0, "expected defects to share a replay behavior"
+    assert warm[:3] == (cold, cold_replayed, cold_deduped)
+
+
 def test_warm_worker_campaign(small_spec):
     """Workers each hit the cache; their counters roll up to the parent."""
     cold = run_campaign(small_spec)

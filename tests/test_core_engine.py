@@ -182,14 +182,25 @@ def test_exact_engine_base_image_matches_program(addr_program):
     assert engine._base_image == image
 
 
-def test_replay_dedup_collapses_defect_classes(builder, addr_setup):
+def test_replay_dedup_collapses_defect_classes(
+    builder, addr_setup, monkeypatch
+):
     """Defects sharing a replay behavior reuse one simulated outcome."""
     from repro.obs import runtime as obs_runtime
+    from repro.soc.system import CpuMemorySystem
 
     faults = [f for f in builder.address_faults() if f.victim == 5]
     program = builder.build_address_bus_program(faults)
     exact = outcomes(program, addr_setup, "addr", engine="exact")
     engine = campaign(program, addr_setup, "addr", "screened").build_engine()
+    resumes = []
+    resume = CpuMemorySystem.resume
+
+    def counting_resume(self, *args, **kwargs):
+        resumes.append(self)
+        return resume(self, *args, **kwargs)
+
+    monkeypatch.setattr(CpuMemorySystem, "resume", counting_resume)
     with obs_runtime.session() as obs:
         screened = run_defects(engine, addr_setup.library, "addr")
     assert screened == exact
@@ -205,21 +216,25 @@ def test_replay_dedup_collapses_defect_classes(builder, addr_setup):
     )
     assert clean + deduped + replayed == total
     assert deduped > 0, "expected defects to share a replay behavior"
-    recorded = sum(len(v) for v in engine._replay_classes.values())
-    assert recorded == replayed
+    assert len(resumes) == replayed
 
 
-def test_vectorized_class_matching_equals_exact(
+def test_borderline_dedup_rows_use_the_scalar_kernel(
     builder, addr_setup, monkeypatch
 ):
-    """Force DecisionEvaluator matching on every class; outcomes unchanged."""
-    from repro.core import engine as engine_module
+    """With every comparison borderline, the scalar kernel judges alone."""
+    from repro.obs import runtime as obs_runtime
+    from repro.xtalk import screen as screen_module
 
-    monkeypatch.setattr(engine_module, "VECTOR_MATCH_MIN_ENTRIES", 1)
     faults = [f for f in builder.address_faults() if f.victim in (0, 7)]
     program = builder.build_address_bus_program(faults)
-    screened = outcomes(program, addr_setup, "addr", engine="screened")
-    assert screened == outcomes(program, addr_setup, "addr", engine="exact")
+    exact = outcomes(program, addr_setup, "addr", engine="exact")
+    monkeypatch.setattr(screen_module, "EPSILON", 1e9)
+    with obs_runtime.session() as obs:
+        screened = outcomes(program, addr_setup, "addr", engine="screened")
+    assert screened == exact
+    deduped = obs.registry.snapshot().get("coverage.engine.replay_deduped")
+    assert deduped and deduped["value"] > 0
 
 
 def test_snapshot_refuses_mmio():

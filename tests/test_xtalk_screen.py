@@ -13,7 +13,7 @@ from repro.xtalk.geometry import BusGeometry
 from repro.xtalk.params import ElectricalParams
 from repro.xtalk.kernel import TransitionKernel
 from repro.core.engine import capture_golden_with_trace
-from repro.xtalk.screen import FIRST_BLOCK, DecisionEvaluator, TraceScreen
+from repro.xtalk.screen import FIRST_BLOCK, TraceScreen, first_mismatch
 
 WIDTH = 8
 ONES = (1 << WIDTH) - 1
@@ -170,24 +170,33 @@ def recorded_decisions(trace, defect, params, calibration):
     return tuple(decisions.items())
 
 
-def test_decision_evaluator_matches_scalar_kernel(setup, trace):
-    """agreement() must reproduce per-entry scalar kernel comparisons."""
+def test_first_mismatch_matches_scalar_kernel(setup, trace):
+    """The block scan finds each defect's first disagreement with a
+    recorded decision map, as a per-entry scalar comparison does."""
     _, params, calibration, library = setup
     recorder = library.defects[0]
     decisions = recorded_decisions(trace, recorder, params, calibration)
-    assert decisions, "trace must produce recordable transitions"
-    evaluator = DecisionEvaluator(decisions, params, calibration, WIDTH)
-    assert len(evaluator) == len(decisions)
-    for defect in library:
+    assert len(decisions) > 2 * FIRST_BLOCK, "map must span several blocks"
+    transitions = [t for t, _ in decisions]
+    targets = [r for _, r in decisions]
+    positions = first_mismatch(
+        transitions, targets, library.defects, params, calibration
+    )
+    for defect, position in zip(library, positions):
         kernel = TransitionKernel(defect.caps, params, calibration)
-        scalar = [
-            kernel.decide(prev, driven, direction)[0] == received
-            for (prev, driven, direction), received in decisions
-        ]
-        agreement = evaluator.agreement(defect.caps)
-        if agreement is None:
-            continue  # borderline band: the engine falls back to scalar
-        assert list(agreement) == scalar
-    # The recording defect must agree with its own recorded decisions.
-    self_agreement = evaluator.agreement(recorder.caps)
-    assert self_agreement is None or bool(self_agreement.all())
+        scalar = next(
+            (
+                index
+                for index, ((prev, driven, direction), received)
+                in enumerate(decisions)
+                if kernel.decide(prev, driven, direction)[0] != received
+            ),
+            -1,
+        )
+        assert position == scalar, defect.index
+    retired = {_block_of(position) for position in positions if position >= 0}
+    assert len(retired) > 1, "defects must retire in several blocks"
+    # The recording defect agrees with its own recorded decisions.
+    assert first_mismatch(
+        transitions, targets, [recorder], params, calibration
+    ) == [-1]
