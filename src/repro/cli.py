@@ -178,6 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for name in ("hits", "misses", "stores", "corrupt_evicted")
     }
     golden_cycles = _counter_value(metrics, "coverage.engine.golden_cycles")
+    fast_forwarded = _counter_value(metrics, "cpu.cycles_fast_forwarded")
     total = len(result.outcomes)
     detected = result.detected
     if args.json:
@@ -194,6 +195,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "resumed": result.resumed,
                 "golden_cache": cache_stats,
                 "golden_cycles": golden_cycles,
+                "cycles_fast_forwarded": fast_forwarded,
             },
             sys.stdout,
             sort_keys=True,

@@ -171,6 +171,34 @@ def run_defects(
 # ---------------------------------------------------------------------------
 
 
+def _json(value: object) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=1)
+def _prefix_digest(calibration_json: str, defects: Tuple[Defect, ...]):
+    """A sha256 state fed with ``{"calibration":…,"defects":[…]``.
+
+    A sweep digests one library once per program, and the library's
+    capacitance matrices are nearly all of the bytes, so the state of
+    the last call is kept (never the JSON text).  The key is the
+    defects' *value*, so a list and a tuple of equal defects hit alike:
+    equal defects have equal capacitance floats, hence equal JSON.
+    Callers must ``copy()`` the state before feeding it more.
+    """
+    digest = hashlib.sha256()
+    digest.update(f'{{"calibration":{calibration_json},"defects":'.encode())
+    digest.update(
+        _json(
+            [
+                [defect.index, defect.caps.ground, defect.caps.coupling]
+                for defect in defects
+            ]
+        ).encode()
+    )
+    return digest
+
+
 def config_digest(
     params: ElectricalParams,
     calibration: Calibration,
@@ -179,18 +207,17 @@ def config_digest(
 ) -> str:
     """SHA-256 over a canonical JSON form of one campaign configuration.
 
+    The bytes hashed are ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` of ``{"params", "calibration", "defects",
+    "extra"}``, fed in key order so the library part is digested once
+    per process (:func:`_prefix_digest`).
+
     Engine selection is deliberately *excluded*:
     engines are outcome-identical, so a journal written with the exact
     engine may be resumed with the screened one (and vice versa).
     """
-    payload = {
-        "params": [
-            params.vdd,
-            params.r_driver_cpu,
-            params.r_driver_mem,
-            params.glitch_attenuation,
-        ],
-        "calibration": {
+    calibration_json = _json(
+        {
             "cth": calibration.cth,
             "v_th": calibration.v_th,
             "t_margin": sorted(
@@ -198,15 +225,20 @@ def config_digest(
                 for direction, margin in calibration.t_margin.items()
             ),
             "safety_factor": calibration.safety_factor,
-        },
-        "defects": [
-            [defect.index, defect.caps.ground, defect.caps.coupling]
-            for defect in defects
-        ],
-        "extra": dict(extra),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        }
+    )
+    digest = _prefix_digest(calibration_json, tuple(defects)).copy()
+    params_json = _json(
+        [
+            params.vdd,
+            params.r_driver_cpu,
+            params.r_driver_mem,
+            params.glitch_attenuation,
+        ]
+    )
+    suffix = f',"extra":{_json(dict(extra))},"params":{params_json}}}'
+    digest.update(suffix.encode())
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

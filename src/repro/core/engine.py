@@ -54,7 +54,7 @@ so campaign reports can show how much work screening saved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import signature
 from repro.core.program_builder import SelfTestProgram
@@ -236,6 +236,50 @@ class ExactEngine(SimulationEngine):
 #: A fault-free run is indistinguishable from golden by definition.
 CLEAN_CHECK = ResponseCheck(detected=False, timed_out=False, mismatches=0)
 
+
+class _RecordingHook:
+    """A replay's bus hook: the model's decisions, recorded for dedup.
+
+    :attr:`decisions` maps every transition the run consumed (``previous
+    != driven``: no-transition words corrupt for no kernel) to the word
+    received.  The batch form (``corrupt_many`` / ``consume``) lets the
+    system fast-forward through a sled; only the transitions the run
+    consumed are recorded, never the rest of a predicted sled, so the
+    map is exactly the one a stepped run builds.
+    """
+
+    __slots__ = ("model", "decisions", "_corrupt")
+
+    def __init__(self, model: CrosstalkErrorModel):
+        self.model = model
+        self.decisions: Dict[Tuple[int, int, BusDirection], int] = {}
+        self._corrupt = model.corrupt
+
+    def __call__(
+        self, previous: int, driven: int, direction: BusDirection
+    ) -> int:
+        received = self._corrupt(previous, driven, direction)
+        if previous != driven:
+            self.decisions[(previous, driven, direction)] = received
+        return received
+
+    def corrupt_many(
+        self, transitions: Sequence[Tuple[int, int, BusDirection]]
+    ) -> List[int]:
+        return self.model.corrupt_many(transitions)
+
+    def consume(
+        self,
+        transitions: Sequence[Tuple[int, int, BusDirection]],
+        received: Sequence[int],
+    ) -> None:
+        decisions = self.decisions
+        for transition, word in zip(transitions, received):
+            if transition[0] != transition[1]:
+                decisions[transition] = word
+        self.model.consume(transitions, received)
+
+
 class ScreenedEngine(SimulationEngine):
     """Screen the library against the golden trace; replay only divergers.
 
@@ -353,25 +397,16 @@ class ScreenedEngine(SimulationEngine):
         system = self._scratch
         system.restore(checkpoint.snapshot)
         model = CrosstalkErrorModel(defect.caps, self.params, self.calibration)
-        corrupt = model.corrupt
-        decisions: Dict[Tuple[int, int, BusDirection], int] = {}
-
-        def recording_hook(
-            previous: int, driven: int, direction: BusDirection
-        ) -> int:
-            received = corrupt(previous, driven, direction)
-            if previous != driven:  # no-transition words corrupt for no kernel
-                decisions[(previous, driven, direction)] = received
-            return received
-
+        hook = _RecordingHook(model)
         bus = _bus_of(system, self.bus)
-        bus.install_corruption_hook(recording_hook)
+        bus.install_corruption_hook(hook)
         try:
             result = system.resume(max_cycles=self.golden.max_cycles)
         finally:
             bus.install_corruption_hook(None)
         self.last_model = model
         outcome = check_response(self.golden, system, result.halted)
+        decisions = hook.decisions
         if group:
             # Agreement must hold on *every* transition the recorded run
             # pushed through its hook, including the ones it left

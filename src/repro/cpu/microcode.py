@@ -39,6 +39,7 @@ __all__ = [
     "FastCpu",
     "MICROPROGRAMS",
     "MicroProgram",
+    "ZERO_LOAD_CYCLES",
 ]
 
 _PC_MASK = 0xFFF
@@ -490,6 +491,11 @@ def _compile(byte1: int) -> MicroProgram:
 #: time — the fast core's whole "decoder".
 MICROPROGRAMS: Tuple[MicroProgram, ...] = tuple(_compile(b) for b in range(256))
 
+#: Cycles of ``00 00``, which decodes as ``LDA 0x000``: the instruction
+#: zero-filled memory is made of (:meth:`FastCpu.retire_zero_loads`).
+ZERO_LOAD_CYCLES = len(_FETCH_STEPS) + len(MICROPROGRAMS[0].steps)
+_ZERO_LOAD_DECODED = MICROPROGRAMS[0].decoded
+
 
 class FastCpu:
     """Drop-in replacement for :class:`~repro.cpu.datapath.Cpu`.
@@ -555,6 +561,34 @@ class FastCpu:
         occupancy[state] = occupancy.get(state, 0) + 1
         self._step = step + 1
         self._program[step](self)
+
+    def retire_zero_loads(self, count: int, operand: int) -> None:
+        """Retire ``count`` whole ``LDA 0x000`` instructions at once.
+
+        Called at an instruction boundary by the system's sled
+        fast-forward, which has proven that the next ``count``
+        instructions each fetch ``00 00`` (``LDA 0x000``) and that the
+        last one's operand read received ``operand``.  Every register
+        and latch is left as stepping them would leave it.
+        """
+        last = (self.pc + 2 * (count - 1)) & _PC_MASK
+        self._instruction_start = last
+        self.pc = (last + 2) & _PC_MASK
+        self.ir = 0
+        self.arg = 0
+        self.mar = 0
+        self._decoded = _ZERO_LOAD_DECODED
+        self._effective_address = 0
+        self._operand = operand
+        value = operand & _AC_MASK
+        self.ac = value
+        flags = self.flags & (_FLAG_V | _FLAG_C)
+        if value == 0:
+            flags |= _FLAG_Z
+        if value & 0x80:
+            flags |= _FLAG_N
+        self.flags = flags
+        self.instruction_count += count
 
     # -- FSM-compatible surface ---------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 
 class BusDirection(enum.Enum):
@@ -61,6 +61,14 @@ class BusTransaction:
 
 
 #: Signature of a corruption hook: (previous, driven, direction) -> received.
+#:
+#: A hook object may also offer a batch form, which lets
+#: :class:`~repro.soc.system.CpuMemorySystem` fast-forward a run through
+#: a stretch of transitions it can predict (DESIGN §5.9):
+#: ``corrupt_many(transitions) -> received words`` judges a list of
+#: ``(previous, driven, direction)`` triples without side effects, and
+#: ``consume(transitions, received)`` then tallies the prefix the run
+#: actually used, as one call each would have.
 CorruptionHook = Callable[[int, int, BusDirection], int]
 
 
@@ -201,6 +209,24 @@ class Bus:
         self._kind_counts = {kind.value: 0 for kind in TransactionKind}
         for kind, count in snapshot.by_kind:
             self._kind_counts[kind.value] = count
+
+    def account(
+        self, held: int, kinds: Mapping[TransactionKind, int], corrupted: int
+    ) -> None:
+        """Book transfers that were proven instead of made.
+
+        The system's sled fast-forward judges a run of transactions in
+        one batch; this leaves the bus as the matching :meth:`transfer`
+        calls would have: ``held`` is the last driven word, ``kinds``
+        counts the transactions by kind and ``corrupted`` of them were
+        received wrong.  Nothing is reported to observers, so the caller
+        must not fast-forward a bus that has any.
+        """
+        self._value = held
+        for kind, count in kinds.items():
+            self._transaction_count += count
+            self._kind_counts[kind._value_] += count
+        self._corrupted_count += corrupted
 
     def transfer(
         self,

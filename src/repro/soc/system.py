@@ -18,17 +18,26 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cpu.control import STATE_CATEGORIES
 from repro.cpu.datapath import BusPort, CpuSnapshot
-from repro.cpu.microcode import FastCpu
+from repro.cpu.microcode import ZERO_LOAD_CYCLES, FastCpu
 from repro.isa.instructions import ADDR_BITS, DATA_BITS, MEMORY_SIZE
 from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import Observability
 from repro.soc.bus import Bus, BusDirection, BusSnapshot, TransactionKind
 from repro.soc.memory import Memory
 from repro.soc.mmio import MMIORegion
+
+
+#: Addresses the 12-bit program counter reaches; a sled stops short of
+#: the wrap to 0x000.
+_ADDRESS_SPACE = 1 << ADDR_BITS
+_TO_MEM = BusDirection.CPU_TO_MEM
+_TO_CPU = BusDirection.MEM_TO_CPU
+_FETCH = TransactionKind.FETCH
+_OPERAND = TransactionKind.OPERAND_READ
 
 
 class RunEnd(enum.Enum):
@@ -247,9 +256,117 @@ class CpuMemorySystem(BusPort):
         """
         return self._drive(obs_runtime.active(), max_cycles, "cpu.resumes")
 
-    def _clock(self, tick: Callable[[], None], max_cycles: int) -> RunEnd:
+    def _sled_bus(self) -> Optional[Bus]:
+        """The bus a sled fast-forward judges, or ``None`` when it is off.
+
+        It is on only when exactly one bus carries a corruption hook,
+        that hook has the batch form (see
+        :data:`~repro.soc.bus.CorruptionHook`), neither bus has
+        observers, no MMIO region is attached and the CPU is the fast
+        core.  Everything else a sled does is then a function of the
+        memory image and that one hook.
+        """
+        if self.mmio_regions or not isinstance(self.cpu, FastCpu):
+            return None
+        buses = (self.address_bus, self.data_bus)
+        if any(bus._observers for bus in buses):
+            return None
+        hooked = [bus for bus in buses if bus._corruption_hook is not None]
+        if len(hooked) != 1 or not hasattr(
+            hooked[0]._corruption_hook, "corrupt_many"
+        ):
+            return None
+        return hooked[0]
+
+    def _fast_forward(self, hooked: Bus, max_cycles: int) -> int:
+        """Jump over a sled of ``LDA 0x000`` instructions; the cycles skipped.
+
+        Called at an instruction boundary where memory holds ``00 00``
+        at ``pc``.  The sled is predicted to the end of the zero run or
+        to the last whole instruction that fits in ``max_cycles``: each
+        instruction drives ``pc``, ``pc+1`` and ``0x000`` on the address
+        bus and reads ``M[received address]`` on the data bus.  One
+        batch call to ``hooked`` judges every predicted transition.  An
+        instruction stays ``LDA 0x000`` while the bytes it actually
+        fetches are zero (a corrupted fetch address that lands on
+        another zero byte still fetches ``00``), so the run provably
+        follows the prediction up to the first instruction that would
+        fetch a nonzero byte.  The jump stops there, and the hook
+        consumes only the transitions of the instructions jumped over.
+        """
+        cpu = self.cpu
+        memory = self.memory
+        cells = memory._cells
+        size = memory.size
+        pc = cpu.pc
+        count = (max_cycles - self.cycle) // ZERO_LOAD_CYCLES
+        span = cells[pc:min(size, _ADDRESS_SPACE, pc + 2 * count)]
+        count = (len(span) - len(span.lstrip(b"\0"))) // 2
+        if not count:
+            return 0
+        on_address_bus = hooked is self.address_bus
+        transitions: List[Tuple[int, int, BusDirection]] = []
+        append = transitions.append
+        if on_address_bus:
+            held = self.address_bus._value
+            for address in range(pc, pc + 2 * count, 2):
+                append((held, address, _TO_MEM))
+                append((address, address + 1, _TO_MEM))
+                append((address + 1, 0, _TO_MEM))
+                held = 0
+        else:
+            loaded = cells[0]
+            held = self.data_bus._value
+            for _ in range(count):
+                append((held, 0, _TO_CPU))
+                append((0, 0, _TO_CPU))
+                append((0, loaded, _TO_CPU))
+                held = loaded
+        hook = hooked._corruption_hook
+        received = hook.corrupt_many(transitions)
+        taken = count
+        for instruction in range(count):
+            position = 3 * instruction
+            first, second = received[position], received[position + 1]
+            if on_address_bus:
+                first, second = cells[first % size], cells[second % size]
+            if first or second:
+                taken = instruction
+                break
+        if not taken:
+            return 0
+        consumed = 3 * taken
+        transitions = transitions[:consumed]
+        received = received[:consumed]
+        hook.consume(transitions, received)
+        corrupted = sum(
+            word != driven
+            for (_, driven, _), word in zip(transitions, received)
+        )
+        kinds = {_FETCH: 2 * taken, _OPERAND: taken}
+        if on_address_bus:
+            # The last operand read was served from its received address.
+            self._pending_address = received[-1]
+            operand = cells[received[-1] % size]
+            self.address_bus.account(0, kinds, corrupted)
+            self.data_bus.account(operand, kinds, 0)
+        else:
+            # The data bus settles on the driven M[0x000]; the CPU loads
+            # the word it received.
+            self._pending_address = 0
+            operand = received[-1]
+            self.address_bus.account(0, kinds, 0)
+            self.data_bus.account(loaded, kinds, corrupted)
+        cpu.retire_zero_loads(taken, operand)
+        skipped = ZERO_LOAD_CYCLES * taken
+        self.cycle += skipped
+        return skipped
+
+    def _clock(
+        self, tick: Callable[[], None], max_cycles: int, counted: bool = False
+    ) -> Tuple[RunEnd, int]:
         """Call ``tick`` once per cycle until halt, a proven loop or
-        ``max_cycles``.
+        ``max_cycles``; the end and the cycles fast-forwarded.
 
         The hang proof: the system is deterministic and a bus corruption
         hook is a pure function of its transition, so when the state at
@@ -260,13 +377,25 @@ class CpuMemorySystem(BusPort):
         are dropped.  MMIO cores keep state outside the key, so a system
         with ``mmio_regions`` is only stopped by halt or the budget — the
         same rule :meth:`snapshot` applies.
+
+        The sled fast-forward (:meth:`_fast_forward`) runs at every
+        instruction boundary that starts on ``00 00`` while
+        :meth:`_sled_bus` allows it; ``counted`` (a ``tick`` that
+        tallies control-state occupancy) turns it off.  The boundaries
+        it jumps over are not keyed, so a proof can come later or not
+        at all (the run then ends at the budget, the same timed-out
+        outcome), but is never invented.
         """
         cpu = self.cpu
         if cpu.halted:
-            return RunEnd.HALTED
+            return RunEnd.HALTED, 0
         prove = not self.mmio_regions
         boundary_state = cpu.boundary_state
         memory = self.memory
+        sled_bus = None if counted else self._sled_bus()
+        cells = memory._cells
+        last_start = min(memory.size, _ADDRESS_SPACE) - 1
+        skipped = 0
         address_bus = self.address_bus
         data_bus = self.data_bus
         seen: set = set()
@@ -282,7 +411,12 @@ class CpuMemorySystem(BusPort):
             # An instruction boundary.  Halting retires the halt jump,
             # so a halt is always seen here.
             if cpu.halted:
-                return RunEnd.HALTED
+                return RunEnd.HALTED, skipped
+            if sled_bus is not None:
+                pc = cpu.pc
+                if pc < last_start and not cells[pc] and not cells[pc + 1]:
+                    skipped += self._fast_forward(sled_bus, max_cycles)
+                    cycle = self.cycle
             count = cpu.instruction_count
             if not prove:
                 continue
@@ -293,9 +427,9 @@ class CpuMemorySystem(BusPort):
             # would add two Python calls to every instruction.
             key = (boundary_state(), address_bus._value, data_bus._value)
             if key in seen:
-                return RunEnd.LOOP
+                return RunEnd.LOOP, skipped
             seen.add(key)
-        return RunEnd.BUDGET
+        return RunEnd.BUDGET, skipped
 
     def _drive(
         self, obs: Optional[Observability], max_cycles: int, run_counter: str
@@ -303,16 +437,23 @@ class CpuMemorySystem(BusPort):
         """Clock the CPU until it stops; shared by run/resume."""
         cpu = self.cpu
         if obs is None:
-            end = self._clock(cpu.tick, max_cycles)
+            end, _ = self._clock(cpu.tick, max_cycles)
             return RunResult(
                 end=end, cycles=self.cycle, instructions=cpu.instruction_count
             )
         cycles_before = self.cycle
         instructions_before = cpu.instruction_count
-        before = [bus.stats() for bus in (self.address_bus, self.data_bus)]
+        buses = (self.address_bus, self.data_bus)
+        # The buses' native counters, read directly: BusStats keys its
+        # counts by enum member, whose hash is a Python call.
+        before = [
+            (bus._transaction_count, bus._corrupted_count, bus._kind_counts.copy())
+            for bus in buses
+        ]
         occupancy: dict = {}
-        tick = partial(cpu.tick_counted, occupancy) if obs.full_detail else cpu.tick
-        end = self._clock(tick, max_cycles)
+        counted = obs.full_detail
+        tick = partial(cpu.tick_counted, occupancy) if counted else cpu.tick
+        end, skipped = self._clock(tick, max_cycles, counted)
         result = RunResult(
             end=end, cycles=self.cycle, instructions=cpu.instruction_count
         )
@@ -324,20 +465,24 @@ class CpuMemorySystem(BusPort):
         )
         if result.timed_out:
             registry.counter("cpu.timeouts").inc()
+        if skipped:
+            registry.counter("cpu.cycles_fast_forwarded").inc(skipped)
         if end is RunEnd.LOOP:
             registry.counter("cpu.hangs_proven").inc()
             registry.counter("cpu.cycles_elided").inc(max_cycles - self.cycle)
-        for bus, earlier in zip((self.address_bus, self.data_bus), before):
-            delta = bus.stats().delta(earlier)
-            registry.counter(f"bus.{bus.name}.transactions").inc(
-                delta.transactions
+        for bus, (transactions, corrupted, kinds) in zip(buses, before):
+            name = bus.name
+            registry.counter(f"bus.{name}.transactions").inc(
+                bus._transaction_count - transactions
             )
-            registry.counter(f"bus.{bus.name}.corrupted").inc(delta.corrupted)
-            for kind, count in delta.by_kind.items():
-                if count:
-                    registry.counter(
-                        f"bus.{bus.name}.kind.{kind.value}"
-                    ).inc(count)
+            registry.counter(f"bus.{name}.corrupted").inc(
+                bus._corrupted_count - corrupted
+            )
+            for kind, count in bus._kind_counts.items():
+                if count != kinds[kind]:
+                    registry.counter(f"bus.{name}.kind.{kind}").inc(
+                        count - kinds[kind]
+                    )
         for state, count in occupancy.items():
             registry.counter(f"cpu.state.{state.value}").inc(count)
             registry.counter(

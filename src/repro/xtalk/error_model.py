@@ -21,20 +21,24 @@ The per-wire decision itself lives in the shared pure
 precomputed into the capacitance domain at construction time, keeping
 the per-transition cost low — the defect simulator calls this hook
 millions of times).  The model adds the stateful parts: native tallies
-and the hook signature.  :class:`~repro.xtalk.screen.TraceScreen` uses
+and the hook signature, plus the hook's batch form
+(:meth:`~CrosstalkErrorModel.corrupt_many` and
+:meth:`~CrosstalkErrorModel.consume`), which lets a replay jump through
+an empty-memory sled.  :class:`~repro.xtalk.screen.TraceScreen` uses
 the same kernel to pre-screen whole defect libraries against a golden
 transaction trace without simulating anything.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence, Tuple
 
 from repro.soc.bus import BusDirection
 from repro.xtalk.calibration import Calibration, calibrate
 from repro.xtalk.capacitance import CapacitanceSet
 from repro.xtalk.kernel import TransitionKernel, WireError
 from repro.xtalk.params import ElectricalParams
+from repro.xtalk.screen import decide_many
 
 __all__ = ["CrosstalkErrorModel", "WireError"]
 
@@ -51,11 +55,6 @@ class CrosstalkErrorModel:
     calibration:
         Thresholds; derive them from the *nominal* capacitances so that a
         perturbed bus is judged against the design's margins, not its own.
-    kernel:
-        Optional prebuilt :class:`TransitionKernel` for the same
-        ``(caps, params, calibration)`` triple; avoids re-deriving the
-        thresholds when the caller (e.g. the screened engine) already
-        built one.
     """
 
     def __init__(
@@ -63,12 +62,11 @@ class CrosstalkErrorModel:
         caps: CapacitanceSet,
         params: ElectricalParams,
         calibration: Calibration,
-        kernel: Optional[TransitionKernel] = None,
     ):
         self.caps = caps
         self.params = params
         self.calibration = calibration
-        self.kernel = kernel or TransitionKernel(caps, params, calibration)
+        self.kernel = TransitionKernel(caps, params, calibration)
         self.width = caps.wire_count
         # Native tallies (plain int increments, always on): how often the
         # model ran and what it decided.  The observability layer snapshots
@@ -108,6 +106,40 @@ class CrosstalkErrorModel:
             self.glitch_errors += glitch_flips
             self.delay_errors += delay_flips
         return received
+
+    def corrupt_many(
+        self, transitions: Sequence[Tuple[int, int, BusDirection]]
+    ) -> List[int]:
+        """The word the receiver samples for each transition, in order.
+
+        The batch form of :meth:`corrupt` (one vector kernel call, see
+        :func:`~repro.xtalk.screen.decide_many`).  It tallies nothing:
+        the caller passes the transitions its run actually used to
+        :meth:`consume`.
+        """
+        return decide_many(
+            transitions, self.kernel, self.caps, self.params, self.calibration
+        )
+
+    def consume(
+        self,
+        transitions: Sequence[Tuple[int, int, BusDirection]],
+        received: Sequence[int],
+    ) -> None:
+        """Tally ``transitions`` with the words :meth:`corrupt_many` gave,
+        exactly as one :meth:`corrupt` call each would have.
+
+        A flipped wire that was switching is a delay error (the receiver
+        sampled its old value); a flipped stable wire is a glitch error.
+        """
+        self.invocations += len(received)
+        for (previous, driven, _), word in zip(transitions, received):
+            if word != driven:
+                flips = word ^ driven
+                changed = previous ^ driven
+                self.corruptions += 1
+                self.glitch_errors += bin(flips & ~changed).count("1")
+                self.delay_errors += bin(flips & changed).count("1")
 
     def stats(self) -> Dict[str, int]:
         """The native tallies, keyed by metric suffix."""

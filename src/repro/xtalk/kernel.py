@@ -21,7 +21,9 @@ logic back three consumers without drift:
   (:meth:`explain`), previously a copy of the Miller-weighting loop;
 * :class:`~repro.xtalk.screen.TraceScreen` — the whole-library trace
   screen, whose scalar ``screen_one`` calls :meth:`decide` directly and
-  whose vectorized ``screen`` re-derives the same thresholds in bulk.
+  whose vectorized ``screen`` re-derives the same thresholds in bulk
+  (as does :func:`~repro.xtalk.screen.decide_many`, the model's batch
+  form; both hand borderline rows back to :meth:`decide`).
 """
 
 from __future__ import annotations

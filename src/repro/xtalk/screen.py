@@ -32,8 +32,11 @@ is its verdict.  Because first occurrences increase along the unique
 list, this is the same verdict as a full scan, but most defects of a
 corrupting library never see the later blocks.  The screened engine's
 replay dedup uses the same scan with a recorded replay's received words
-as targets.  Comparisons use a small epsilon band: a row with a margin
-inside it goes to the scalar kernel, so a float summation-order
+as targets.  :func:`decide_many` is the same vector kernel for one
+defect: the received word of every transition of a list, which the
+error model's batch hook gives a replay fast-forwarding through an
+empty-memory sled.  Comparisons use a small epsilon band: a row with a
+margin inside it goes to the scalar kernel, so a float summation-order
 difference can never change an answer.
 
 :meth:`TraceScreen.screen_one` is the scalar reference: one
@@ -91,6 +94,121 @@ def _defect_arrays(caps: CapacitanceSet):
     return cached
 
 
+class _Geometry:
+    """Per-transition aggressor geometry of a transition list.
+
+    The vector form of what :meth:`TransitionKernel.decide` derives per
+    call: quiet aggressors weigh 1x, opposite-direction aggressors 2x,
+    same-direction aggressors 0x, and stable victims see the signed
+    injected charge of their switching neighbours.  Rows are
+    transitions, columns wires.
+    """
+
+    __slots__ = (
+        "previous", "driven", "direction_index", "powers", "switching",
+        "high", "up", "weights_rising", "weights_falling", "signed",
+    )
+
+    def __init__(
+        self, transitions: Sequence[Tuple[int, int, BusDirection]], width: int
+    ):
+        self.previous = np.array([t[0] for t in transitions], dtype=np.int64)
+        self.driven = np.array([t[1] for t in transitions], dtype=np.int64)
+        self.direction_index = np.array(
+            [0 if t[2] is BusDirection.CPU_TO_MEM else 1 for t in transitions],
+            dtype=np.int64,
+        )
+        self.powers = powers = 1 << np.arange(width, dtype=np.int64)
+        self.switching = (
+            (self.previous ^ self.driven)[:, None] & powers
+        ) != 0  # [T, n]
+        self.high = (self.driven[:, None] & powers) != 0  # [T, n]
+        self.up = self.switching & self.high  # victims switching 0 -> 1
+        up = self.up.astype(np.float64)
+        down = self.switching.astype(np.float64) - up
+        stable = 1.0 - up - down
+        self.weights_rising = stable + 2.0 * down
+        self.weights_falling = stable + 2.0 * up
+        self.signed = up - down
+
+
+class _Thresholds:
+    """Per-defect thresholds in the capacitance domain, one row per
+    capacitance set: the vector form of :class:`TransitionKernel`'s
+    constructor."""
+
+    __slots__ = ("coupling", "glitch_threshold", "eps_glitch", "slack")
+
+    def __init__(
+        self,
+        caps: Sequence[CapacitanceSet],
+        params: ElectricalParams,
+        calibration: Calibration,
+    ):
+        margin_cap = np.array(
+            [
+                calibration.margin_for(direction)
+                / (LN2 * params.r_for(direction) * 1e-15)
+                for direction in (
+                    BusDirection.CPU_TO_MEM,
+                    BusDirection.MEM_TO_CPU,
+                )
+            ]
+        )  # [2]
+        scale = params.glitch_attenuation * params.vdd
+        arrays = [_defect_arrays(c) for c in caps]
+        self.coupling = coupling = np.stack([a[0] for a in arrays])  # [D, n, n]
+        ground = np.stack([a[1] for a in arrays])  # [D, n]
+        self.glitch_threshold = (
+            calibration.v_th * (ground + coupling.sum(axis=2)) / scale
+        )  # [D, n]
+        self.eps_glitch = EPSILON * (np.abs(self.glitch_threshold) + 1.0)
+        self.slack = margin_cap[None, :, None] - ground[:, None, :]  # [D, 2, n]
+
+
+def _flip_block(
+    geometry: _Geometry,
+    thresholds: _Thresholds,
+    start: int,
+    stop: int,
+    chunk: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flipped-wire words and borderline flags of transitions
+    ``start:stop`` for the defects ``chunk``, both ``[d, B]``.
+
+    Every threshold comparison is made with an :data:`EPSILON` band; a
+    row with any wire inside the band is borderline and its word must
+    come from the scalar kernel.
+    """
+    switching = geometry.switching[start:stop]
+    c = thresholds.coupling[chunk]
+    # coupling is symmetric, so W @ coupling sums over neighbours j of
+    # victim i as the kernel's loop does.
+    load = np.where(
+        geometry.up[start:stop],
+        np.matmul(geometry.weights_rising[start:stop], c),
+        np.matmul(geometry.weights_falling[start:stop], c),
+    )  # [d, B, n]
+    slack = thresholds.slack[chunk][:, geometry.direction_index[start:stop], :]
+    delay_margin = load - slack
+    eps_delay = EPSILON * (np.abs(slack) + 1.0)
+    injected = np.matmul(geometry.signed[start:stop], c)
+    glitch_margin = (
+        np.where(geometry.high[start:stop], -injected, injected)
+        - thresholds.glitch_threshold[chunk][:, None, :]
+    )
+    eps_glitch = thresholds.eps_glitch[chunk][:, None, :]
+    flipped = np.where(
+        switching, delay_margin > eps_delay, glitch_margin > eps_glitch
+    )
+    borderline = np.where(
+        switching,
+        np.abs(delay_margin) <= eps_delay,
+        np.abs(glitch_margin) <= eps_glitch,
+    ).any(axis=2)
+    return flipped.astype(np.int64) @ geometry.powers, borderline
+
+
 def first_mismatch(
     transitions: Sequence[Tuple[int, int, BusDirection]],
     targets: Sequence[int],
@@ -121,50 +239,9 @@ def first_mismatch(
     if not defects or not count:
         return first.tolist()
     width = defects[0].caps.wire_count
-
-    # Per-transition aggressor geometry, the vector form of what
-    # TransitionKernel.decide derives per call: quiet aggressors weigh
-    # 1x, opposite-direction aggressors 2x, same-direction aggressors
-    # 0x, and stable victims see the signed injected charge of their
-    # switching neighbours.
-    previous = np.array([t[0] for t in transitions], dtype=np.int64)
-    driven = np.array([t[1] for t in transitions], dtype=np.int64)
-    expected_flips = driven ^ np.array(targets, dtype=np.int64)  # [T]
-    direction_index = np.array(
-        [0 if t[2] is BusDirection.CPU_TO_MEM else 1 for t in transitions],
-        dtype=np.int64,
-    )
-    powers = 1 << np.arange(width, dtype=np.int64)
-    switching_mask = ((previous ^ driven)[:, None] & powers) != 0  # [T, n]
-    high_mask = (driven[:, None] & powers) != 0  # [T, n]
-    up_mask = switching_mask & high_mask  # victims switching 0 -> 1
-    up = up_mask.astype(np.float64)
-    down = switching_mask.astype(np.float64) - up
-    stable = 1.0 - up - down
-    weights_rising = stable + 2.0 * down
-    weights_falling = stable + 2.0 * up
-    signed = up - down
-
-    # Per-defect thresholds in the capacitance domain.
-    margin_cap = np.array(
-        [
-            calibration.margin_for(direction)
-            / (LN2 * params.r_for(direction) * 1e-15)
-            for direction in (
-                BusDirection.CPU_TO_MEM,
-                BusDirection.MEM_TO_CPU,
-            )
-        ]
-    )  # [2]
-    scale = params.glitch_attenuation * params.vdd
-    arrays = [_defect_arrays(d.caps) for d in defects]
-    coupling = np.stack([a[0] for a in arrays])  # [D, n, n]
-    ground = np.stack([a[1] for a in arrays])  # [D, n]
-    glitch_threshold = (
-        calibration.v_th * (ground + coupling.sum(axis=2)) / scale
-    )  # [D, n]
-    eps_glitch = EPSILON * (np.abs(glitch_threshold) + 1.0)
-    slack = margin_cap[None, :, None] - ground[:, None, :]  # [D, 2, n]
+    geometry = _Geometry(transitions, width)
+    expected_flips = geometry.driven ^ np.array(targets, dtype=np.int64)  # [T]
+    thresholds = _Thresholds([d.caps for d in defects], params, calibration)
 
     max_block = max(FIRST_BLOCK, MAX_BLOCK_ELEMENTS // width)
     kernels: Dict[int, TransitionKernel] = {}  # borderline rows only
@@ -173,38 +250,12 @@ def first_mismatch(
     while start < count and active.size:
         stop = min(count, start + block)
         rows = max(1, MAX_BLOCK_ELEMENTS // ((stop - start) * width))
-        switching = switching_mask[start:stop]
-        directions = direction_index[start:stop]
         for lo in range(0, active.size, rows):
             chunk = active[lo:lo + rows]
-            c = coupling[chunk]
-            # coupling is symmetric, so W @ coupling sums over
-            # neighbours j of victim i as the kernel's loop does.
-            load = np.where(
-                up_mask[start:stop],
-                np.matmul(weights_rising[start:stop], c),
-                np.matmul(weights_falling[start:stop], c),
-            )  # [d, B, n]
-            slack_t = slack[chunk][:, directions, :]  # [d, B, n]
-            delay_margin = load - slack_t
-            eps_delay = EPSILON * (np.abs(slack_t) + 1.0)
-            injected = np.matmul(signed[start:stop], c)
-            glitch_margin = (
-                np.where(high_mask[start:stop], -injected, injected)
-                - glitch_threshold[chunk][:, None, :]
+            flips, borderline = _flip_block(
+                geometry, thresholds, start, stop, chunk
             )
-            eps_g = eps_glitch[chunk][:, None, :]
-            flipped = np.where(
-                switching, delay_margin > eps_delay, glitch_margin > eps_g
-            )
-            differs = (
-                flipped.astype(np.int64) @ powers != expected_flips[start:stop]
-            )  # [d, B]
-            borderline = np.where(
-                switching,
-                np.abs(delay_margin) <= eps_delay,
-                np.abs(glitch_margin) <= eps_g,
-            ).any(axis=2)
+            differs = flips != expected_flips[start:stop]  # [d, B]
             for row, column in zip(*np.nonzero(borderline)):
                 index = chunk[row]
                 if index not in kernels:
@@ -219,6 +270,42 @@ def first_mismatch(
         active = active[first[active] < 0]
         start, block = stop, min(2 * block, max_block)
     return first.tolist()
+
+
+def decide_many(
+    transitions: Sequence[Tuple[int, int, BusDirection]],
+    kernel: TransitionKernel,
+    caps: CapacitanceSet,
+    params: ElectricalParams,
+    calibration: Calibration,
+) -> List[int]:
+    """The received word of every transition, for one capacitance set.
+
+    The vector form of ``kernel.decide(...)[0]`` over a whole list, with
+    the same geometry and thresholds :func:`first_mismatch` uses;
+    ``kernel`` must be built from ``(caps, params, calibration)`` and
+    judges the borderline rows, so every word equals the scalar one.
+    A transition with ``previous == driven`` is received as driven.
+    """
+    count = len(transitions)
+    if not count:
+        return []
+    width = caps.wire_count
+    geometry = _Geometry(transitions, width)
+    thresholds = _Thresholds([caps], params, calibration)
+    only = np.zeros(1, dtype=np.int64)
+    flips = np.empty(count, dtype=np.int64)
+    block = max(1, MAX_BLOCK_ELEMENTS // width)
+    for start in range(0, count, block):
+        stop = min(count, start + block)
+        words, borderline = _flip_block(geometry, thresholds, start, stop, only)
+        flips[start:stop] = words[0]
+        for column in np.flatnonzero(borderline[0]):
+            position = start + int(column)
+            previous, driven, direction = transitions[position]
+            flips[position] = kernel.decide(previous, driven, direction)[0] ^ driven
+    flips[geometry.previous == geometry.driven] = 0
+    return (geometry.driven ^ flips).tolist()
 
 
 @dataclass(frozen=True)

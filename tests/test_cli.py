@@ -51,14 +51,32 @@ def test_simulate_workers_match_serial(capsys):
             "--workers", workers, "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        # Worker and cache-telemetry fields legitimately differ (the
-        # second run is warm); everything the campaign *computed* must
-        # not.
+        # Worker and work-telemetry fields legitimately differ (the
+        # second run is warm, and each worker replays its own shard's
+        # groups); everything the campaign *computed* must not.
         outputs[workers] = {
             key: value for key, value in payload.items()
-            if key not in ("workers", "golden_cache", "golden_cycles")
+            if key not in (
+                "workers", "golden_cache", "golden_cycles",
+                "cycles_fast_forwarded",
+            )
         }
     assert outputs["1"] == outputs["2"]
+
+
+def test_simulate_reports_fast_forwarded_cycles(capsys):
+    """Screened replays jump through empty-memory sleds; the exact
+    engine never does, and both judge alike."""
+    payloads = {}
+    for engine in ("screened", "exact"):
+        assert main([
+            "simulate", "--defects", "20", "--engine", engine, "--json",
+        ]) == 0
+        payloads[engine] = json.loads(capsys.readouterr().out)
+    assert payloads["screened"]["cycles_fast_forwarded"] > 0
+    assert payloads["exact"]["cycles_fast_forwarded"] == 0
+    for key in ("defects", "detected", "timeouts", "coverage"):
+        assert payloads["screened"][key] == payloads["exact"][key]
 
 
 def test_simulate_journal_resume(tmp_path, capsys):

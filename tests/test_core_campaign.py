@@ -15,6 +15,7 @@ The load-bearing guarantees under test:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import pickle
 
@@ -28,6 +29,7 @@ from repro.core.campaign import (
     DetectionOutcome,
     JournalError,
     _init_worker,
+    config_digest,
     run_campaign,
 )
 from repro import obs
@@ -128,6 +130,65 @@ class TestCampaignSpec:
 # ---------------------------------------------------------------------------
 # Serial loop and process pool
 # ---------------------------------------------------------------------------
+
+
+def _reference_digest(params, calibration, defects, extra):
+    """config_digest as one json.dumps of the whole payload."""
+    payload = {
+        "params": [
+            params.vdd,
+            params.r_driver_cpu,
+            params.r_driver_mem,
+            params.glitch_attenuation,
+        ],
+        "calibration": {
+            "cth": calibration.cth,
+            "v_th": calibration.v_th,
+            "t_margin": sorted(
+                (direction.value, margin)
+                for direction, margin in calibration.t_margin.items()
+            ),
+            "safety_factor": calibration.safety_factor,
+        },
+        "defects": [
+            [defect.index, defect.caps.ground, defect.caps.coupling]
+            for defect in defects
+        ],
+        "extra": dict(extra),
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("bus", ["addr", "data"])
+def test_config_digest_bytes_are_one_json_dump(bus):
+    """The library prefix is digested once per process, but the digest
+    is still sha256 of the canonical JSON: cache keys and journals from
+    before the memo keep matching."""
+    from repro import default_address_bus_setup, default_data_bus_setup
+
+    setup = (
+        default_address_bus_setup(defect_count=40, seed=3)
+        if bus == "addr"
+        else default_data_bus_setup(defect_count=40, seed=3)
+    )
+    library = setup.library.defects
+    digests = set()
+    for extra in ({"kind": "campaign", "image": [[1, 2]]},
+                  {"kind": "fig11", "width": 12, "full_program": True}):
+        for defects in (list(library), tuple(library), list(library)):
+            digest = config_digest(
+                setup.params, setup.calibration, defects, extra
+            )
+            assert digest == _reference_digest(
+                setup.params, setup.calibration, defects, extra
+            )
+            digests.add(digest)
+        shorter = library[:-1]
+        assert config_digest(
+            setup.params, setup.calibration, shorter, extra
+        ) == _reference_digest(setup.params, setup.calibration, shorter, extra)
+    assert len(digests) == 2
 
 
 class TestBackends:

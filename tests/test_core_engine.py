@@ -310,3 +310,90 @@ def test_observed_hang_proof_counts(addr_program, addr_setup):
         engine.golden.max_cycles - counters["cpu.cycles"]
     )
     assert counters["cpu.cycles_elided"] > 0
+
+
+# -- sled fast-forward --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fig11_programs(builder):
+    faults = builder.address_faults()
+    return [
+        builder.build_address_bus_program(
+            [fault for fault in faults if fault.victim == line]
+        )
+        for line in range(12)
+    ]
+
+
+def _counters(session):
+    return {
+        name: metric["value"]
+        for name, metric in session.registry.snapshot().items()
+        if "value" in metric
+    }
+
+
+def test_fast_forward_screened_equals_exact_on_fig11_lines(fig11_programs):
+    from repro import default_address_bus_setup
+    from repro.obs import runtime as obs_runtime
+
+    setup = default_address_bus_setup()
+    defects = tuple(setup.library.defects[:100])
+    skipped = 0
+    for program in fig11_programs:
+        spec = CampaignSpec(
+            program, setup.params, setup.calibration, defects, "addr",
+            engine="exact",
+        )
+        exact = run_campaign(spec).outcomes
+        with obs_runtime.session() as session:
+            screened = run_campaign(
+                CampaignSpec(
+                    program, setup.params, setup.calibration, defects, "addr"
+                )
+            ).outcomes
+        assert screened == exact
+        skipped += _counters(session).get("cpu.cycles_fast_forwarded", 0)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("bus, defects", [("addr", 200), ("data", 1000)])
+def test_fast_forward_keeps_observed_counters(
+    builder, fig11_programs, bus, defects, monkeypatch
+):
+    """bus.* and xtalk.model.* read the same with and without the jump."""
+    from repro import default_address_bus_setup, default_data_bus_setup
+    from repro.core.engine import _RecordingHook
+    from repro.obs import runtime as obs_runtime
+
+    if bus == "addr":
+        setup = default_address_bus_setup()
+        program = fig11_programs[7]
+    else:
+        setup = default_data_bus_setup()
+        program = builder.build_data_bus_program()
+    spec = CampaignSpec(
+        program, setup.params, setup.calibration,
+        tuple(setup.library.defects[:defects]), bus,
+    )
+    run_campaign(spec)  # both runs below load the same cache entry
+    runs = []
+    for stepped in (False, True):
+        if stepped:
+            monkeypatch.delattr(_RecordingHook, "corrupt_many")
+        with obs_runtime.session() as session:
+            outcomes = run_campaign(spec).outcomes
+        runs.append((outcomes, _counters(session)))
+    (fast, fast_counters), (slow, slow_counters) = runs
+    assert fast == slow
+    assert fast_counters["cpu.cycles_fast_forwarded"] > 0
+    assert "cpu.cycles_fast_forwarded" not in slow_counters
+    compared = [
+        name for name in slow_counters
+        if name.startswith(("bus.", "xtalk.model.", "coverage.engine."))
+        or name in ("cpu.cycles", "cpu.instructions", "cpu.timeouts")
+    ]
+    assert any(name.startswith("xtalk.model.") for name in compared)
+    for name in compared:
+        assert fast_counters.get(name) == slow_counters[name], name

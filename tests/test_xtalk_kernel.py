@@ -71,14 +71,6 @@ def test_kernel_agrees_with_error_model(v1, v2):
         )[0]
 
 
-def test_model_accepts_prebuilt_kernel(nominal):
-    caps, params, calibration = nominal
-    kernel = TransitionKernel(caps, params, calibration)
-    model = CrosstalkErrorModel(caps, params, calibration, kernel=kernel)
-    assert model.kernel is kernel
-    assert model.corrupt(0x00, 0xFF, BusDirection.CPU_TO_MEM) == 0xFF
-
-
 def test_kernel_is_pure(nominal):
     kernel = perturbed_kernel(nominal, 2.5)
     first = kernel.decide(0x00, 0x55, BusDirection.CPU_TO_MEM)

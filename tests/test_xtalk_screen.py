@@ -200,3 +200,33 @@ def test_first_mismatch_matches_scalar_kernel(setup, trace):
     assert first_mismatch(
         transitions, targets, [recorder], params, calibration
     ) == [-1]
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [(None, None), ("EPSILON", 1e9), ("MAX_BLOCK_ELEMENTS", 64)],
+    ids=["vector", "all-borderline", "many-blocks"],
+)
+def test_batch_model_matches_scalar_model(setup, trace, knob, value, monkeypatch):
+    """corrupt_many + consume give the words and tallies of one corrupt
+    call per transition: borderline rows, block edges and no-transition
+    words included."""
+    from repro.xtalk import screen as screen_module
+
+    if knob is not None:
+        monkeypatch.setattr(screen_module, knob, value)
+    _, params, calibration, library = setup
+    transitions = [(t.previous, t.driven, t.direction) for t in trace]
+    totals = {"corruptions": 0, "glitch_errors": 0, "delay_errors": 0}
+    for defect in library.defects:
+        scalar = CrosstalkErrorModel(defect.caps, params, calibration)
+        words = [scalar.corrupt(*transition) for transition in transitions]
+        batch = CrosstalkErrorModel(defect.caps, params, calibration)
+        received = batch.corrupt_many(transitions)
+        assert batch.invocations == 0  # the batch call tallies nothing
+        batch.consume(transitions, received)
+        assert received == words
+        assert batch.stats() == scalar.stats()
+        for name in totals:
+            totals[name] += scalar.stats()[name]
+    assert all(totals.values()), totals
