@@ -3,7 +3,8 @@
 Times the E4 address-bus campaign (the per-line Fig. 11 sweep, the
 workload the screened engine was built for: side-line programs corrupt
 under almost no defect, so screening eliminates most replays outright
-and checkpoints shorten the rest) on both engines, and — always,
+and dedup shares one replay across each first-corruption group) on
+both engines, and — always,
 whatever the library size — asserts that the engines produce
 **identical** per-line detected sets.  The coverage-equality assertion
 is what the CI smoke job (50 defects) is for; the speedup floor only

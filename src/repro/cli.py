@@ -404,8 +404,8 @@ def make_parser() -> argparse.ArgumentParser:
     engine_help = (
         "defect-simulation engine: 'screened' (default) screens the "
         "library against the golden bus trace and replays only divergent "
-        "defects from a checkpoint; 'exact' replays every defect in full "
-        "(identical outcomes, several times slower)"
+        "defects, hooked from their first corruption; 'exact' replays "
+        "every defect in full (identical outcomes, several times slower)"
     )
 
     workers_help = (

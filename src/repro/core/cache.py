@@ -6,10 +6,7 @@ repeated CLI invocation — which without a cache means re-simulating the
 entire golden run.  The golden artifacts are pure functions of the
 spec's :meth:`~repro.core.campaign.CampaignSpec.fingerprint` (program
 image + entry, electrical parameters, calibration, defect library, bus),
-so this module stores them on disk keyed by exactly that.  Entries hold
-the capture at the derived checkpoint spacing
-(:func:`~repro.core.engine.auto_checkpoint_interval`), the only spacing
-campaigns use.
+so this module stores them on disk keyed by exactly that.
 
 Entry layout (one file per key, ``<sha256>.rgc`` under the cache root):
 
@@ -22,15 +19,18 @@ Entry layout (one file per key, ``<sha256>.rgc`` under the cache root):
 
   - ``golden``   — cycle/instruction counts + final memory image,
   - ``trace``    — the golden bus-transaction stream,
-  - ``checkpoints`` — the mid-run :class:`SystemSnapshot` series,
   - ``verdicts`` — the screen verdict of every defect of the campaign,
     so warm runs skip the screen too.
+
+  Sections are read by name, so entries written with an extra section
+  (older ones carry golden-run ``checkpoints``) still load.
 
 Each entry is written whole, in one store, by the screened engine build
 that missed it (:meth:`~repro.core.campaign.CampaignSpec.build_engine`);
 entries are never merged or patched.  Integrity: every section carries a SHA-256 over
-its stored bytes and is verified on load; any mismatch, truncation, or
-undecodable structure evicts the entry (``corrupt_evicted`` counter) and
+its stored bytes and is verified on load; any mismatch, truncation,
+undecodable structure, or verdict that does not point into the trace
+evicts the entry (``corrupt_evicted`` counter) and
 reports a miss, and so does an entry path that cannot be read — a
 damaged cache can cost time, never correctness.  Writes go through a
 temp file + :func:`os.replace`, so readers never observe a partial
@@ -58,14 +58,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.cpu.control import ControlState, decode_raw
-from repro.cpu.datapath import CpuSnapshot
-from repro.cpu.registers import Flags, RegisterFile
-from repro.core.engine import Checkpoint, GoldenCapture
+from repro.core.engine import GoldenCapture
 from repro.core.signature import GoldenReference
 from repro.obs import runtime as obs_runtime
-from repro.soc.bus import BusDirection, BusSnapshot, BusTransaction, TransactionKind
-from repro.soc.system import SystemSnapshot
+from repro.soc.bus import BusDirection, BusTransaction, TransactionKind
 from repro.xtalk.screen import ScreenVerdict
 
 __all__ = [
@@ -91,17 +87,11 @@ _KINDS: Tuple[TransactionKind, ...] = tuple(TransactionKind)
 _KIND_INDEX = {kind: index for index, kind in enumerate(_KINDS)}
 _DIRECTIONS: Tuple[BusDirection, ...] = tuple(BusDirection)
 _DIRECTION_INDEX = {direction: index for index, direction in enumerate(_DIRECTIONS)}
-_STATES: Tuple[ControlState, ...] = tuple(ControlState)
-_STATE_INDEX = {state: index for index, state in enumerate(_STATES)}
 
 # Packed record layouts (little-endian, no padding).
 _TXN = struct.Struct("<IBBHHH")  # cycle, kind, direction, previous, driven, received
 _VERDICT = struct.Struct("<IBqq")  # defect_index, clean, first_index, first_cycle
 _GOLDEN_HEAD = struct.Struct("<II")  # cycles, instructions
-_CHECKPOINT_HEAD = struct.Struct(
-    "<IH" "HHHHH" "B" "BIB" "HHHH"
-)  # cycle, pending | ac,pc,ir,arg,mar | flags | state,icount,has_decoded | latches
-_BUS_SNAP = struct.Struct("<HQQ" + "Q" * len(_KINDS))
 
 
 class CacheError(Exception):
@@ -167,130 +157,6 @@ def _unpack_trace(blob: bytes, bus: str) -> List[BusTransaction]:
     return trace
 
 
-def _pack_bus_snapshot(snapshot: BusSnapshot) -> bytes:
-    counts = dict(snapshot.by_kind)
-    return _BUS_SNAP.pack(
-        snapshot.value,
-        snapshot.transactions,
-        snapshot.corrupted,
-        *(counts.get(kind, 0) for kind in _KINDS),
-    )
-
-
-def _unpack_bus_snapshot(blob: bytes) -> BusSnapshot:
-    fields = _BUS_SNAP.unpack(blob)
-    return BusSnapshot(
-        value=fields[0],
-        transactions=fields[1],
-        corrupted=fields[2],
-        by_kind=tuple(zip(_KINDS, fields[3:])),
-    )
-
-
-def _pack_checkpoints(checkpoints: List[Checkpoint], memory_size: int) -> bytes:
-    out = bytearray()
-    for checkpoint in checkpoints:
-        snapshot = checkpoint.snapshot
-        cpu = snapshot.cpu
-        registers = cpu.registers
-        if len(snapshot.memory) != memory_size:
-            raise CacheError("checkpoint memory size mismatch")
-        out += _CHECKPOINT_HEAD.pack(
-            snapshot.cycle,
-            snapshot.pending_address,
-            registers.ac,
-            registers.pc,
-            registers.ir,
-            registers.arg,
-            registers.mar,
-            registers.flags.as_mask(),
-            _STATE_INDEX[cpu.state],
-            cpu.instruction_count,
-            1 if cpu.decoded is not None else 0,
-            cpu.instruction_start,
-            cpu.effective_address,
-            cpu.pointer_address,
-            cpu.operand,
-        )
-        out += _pack_bus_snapshot(snapshot.address_bus)
-        out += _pack_bus_snapshot(snapshot.data_bus)
-        out += snapshot.memory
-    return bytes(out)
-
-
-def _unpack_checkpoints(blob: bytes, memory_size: int) -> List[Checkpoint]:
-    record_size = _CHECKPOINT_HEAD.size + 2 * _BUS_SNAP.size + memory_size
-    if record_size <= 0 or len(blob) % record_size:
-        raise CacheError("checkpoint section is not a whole number of records")
-    checkpoints = []
-    for base in range(0, len(blob), record_size):
-        head = _CHECKPOINT_HEAD.unpack_from(blob, base)
-        (
-            cycle,
-            pending,
-            ac,
-            pc,
-            ir,
-            arg,
-            mar,
-            flag_mask,
-            state_index,
-            instruction_count,
-            has_decoded,
-            instruction_start,
-            effective_address,
-            pointer_address,
-            operand,
-        ) = head
-        if state_index >= len(_STATES):
-            raise CacheError("checkpoint record has an out-of-range state")
-        offset = base + _CHECKPOINT_HEAD.size
-        address_bus = _unpack_bus_snapshot(blob[offset : offset + _BUS_SNAP.size])
-        offset += _BUS_SNAP.size
-        data_bus = _unpack_bus_snapshot(blob[offset : offset + _BUS_SNAP.size])
-        offset += _BUS_SNAP.size
-        memory = blob[offset : offset + memory_size]
-        cpu = CpuSnapshot(
-            registers=RegisterFile(
-                ac=ac,
-                pc=pc,
-                ir=ir,
-                arg=arg,
-                mar=mar,
-                flags=Flags(
-                    v=bool(flag_mask & 8),
-                    c=bool(flag_mask & 4),
-                    z=bool(flag_mask & 2),
-                    n=bool(flag_mask & 1),
-                ),
-            ),
-            state=_STATES[state_index],
-            instruction_count=instruction_count,
-            # The decoder is a pure function of IR, and IR always holds
-            # the byte the latched decode came from — so the decode is
-            # reconstructed instead of stored.
-            decoded=decode_raw(ir) if has_decoded else None,
-            instruction_start=instruction_start,
-            effective_address=effective_address,
-            pointer_address=pointer_address,
-            operand=operand,
-        )
-        checkpoints.append(
-            Checkpoint(
-                cycle=cycle,
-                snapshot=SystemSnapshot(
-                    cycle=cycle,
-                    pending_address=pending,
-                    cpu=cpu,
-                    memory=memory,
-                    address_bus=address_bus,
-                    data_bus=data_bus,
-                ),
-            )
-        )
-    return checkpoints
-
-
 def _pack_verdicts(verdicts: Mapping[int, ScreenVerdict]) -> bytes:
     out = bytearray()
     for index in sorted(verdicts):
@@ -304,16 +170,34 @@ def _pack_verdicts(verdicts: Mapping[int, ScreenVerdict]) -> bytes:
     return bytes(out)
 
 
-def _unpack_verdicts(blob: bytes) -> Dict[int, ScreenVerdict]:
+def _unpack_verdicts(
+    blob: bytes, trace: List[BusTransaction]
+) -> Dict[int, ScreenVerdict]:
+    """Decode the verdicts, each checked against ``trace``.
+
+    A replay steps the fault-free prefix up to its verdict's first
+    cycle, so a corrupting verdict must name a transaction of the trace
+    and carry its cycle: a hash-valid entry with any other cycle would
+    replay past the golden run, or never finish.
+    """
     if len(blob) % _VERDICT.size:
         raise CacheError("verdict section is not a whole number of records")
     verdicts = {}
     for index, clean, first_index, first_cycle in _VERDICT.iter_unpack(blob):
+        if clean:
+            valid = first_index < 0 and first_cycle < 0
+        else:
+            valid = (
+                0 <= first_index < len(trace)
+                and first_cycle == trace[first_index].cycle
+            )
+        if not valid:
+            raise CacheError(f"verdict of defect {index} does not fit the trace")
         verdicts[index] = ScreenVerdict(
             defect_index=index,
             clean=bool(clean),
-            first_index=None if first_index < 0 else first_index,
-            first_cycle=None if first_cycle < 0 else first_cycle,
+            first_index=None if clean else first_index,
+            first_cycle=None if clean else first_cycle,
         )
     return verdicts
 
@@ -409,9 +293,9 @@ class GoldenRunCache:
         """The entry key for a campaign fingerprint.
 
         The format version is folded in so layout changes miss cleanly.
-        The trailing ``auto`` names the derived checkpoint spacing; it
-        keeps the key bytes of entries written when the spacing was
-        selectable, so those entries still load.
+        The trailing ``auto`` once named a golden checkpoint spacing; it
+        keeps the key bytes of older entries, so those entries still
+        load.
         """
         payload = f"{MAGIC}:v{FORMAT_VERSION}:{fingerprint}:auto"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -462,11 +346,10 @@ class GoldenRunCache:
                     snapshot=memory, cycles=cycles, instructions=instructions
                 ),
                 trace=_unpack_trace(_read_section(header, body, "trace"), bus),
-                checkpoints=_unpack_checkpoints(
-                    _read_section(header, body, "checkpoints"), memory_size
-                ),
             )
-            verdicts = _unpack_verdicts(_read_section(header, body, "verdicts"))
+            verdicts = _unpack_verdicts(
+                _read_section(header, body, "verdicts"), capture.trace
+            )
         except (CacheError, KeyError, TypeError, ValueError, struct.error) as error:
             logger.warning("evicting corrupt cache entry %s: %s", path, error)
             try:
@@ -487,7 +370,6 @@ class GoldenRunCache:
         """Write (or overwrite) the entry for ``fingerprint`` atomically."""
         verdicts = dict(verdicts or {})
         key = self.key_for(fingerprint)
-        memory_size = len(capture.golden.snapshot)
         try:
             data = _encode_entry(
                 {
@@ -495,13 +377,11 @@ class GoldenRunCache:
                     "version": FORMAT_VERSION,
                     "key": key,
                     "fingerprint": fingerprint,
-                    "interval": "auto",
                     "bus": bus,
-                    "memory_size": memory_size,
+                    "memory_size": len(capture.golden.snapshot),
                     "cycles": capture.golden.cycles,
                     "instructions": capture.golden.instructions,
                     "trace_length": len(capture.trace),
-                    "checkpoint_count": len(capture.checkpoints),
                     "verdict_count": len(verdicts),
                     "created": time.time(),
                 },
@@ -514,10 +394,6 @@ class GoldenRunCache:
                         "zlib",
                     ),
                     "trace": (_pack_trace(capture.trace), "zlib"),
-                    "checkpoints": (
-                        _pack_checkpoints(capture.checkpoints, memory_size),
-                        "zlib",
-                    ),
                     "verdicts": (_pack_verdicts(verdicts), "raw"),
                 },
             )

@@ -15,16 +15,15 @@ values; *how* a defect is judged is an engine concern:
     golden run up to its first corrupted transaction.  The engine
 
     1. captures the golden run **once** with the full transaction trace
-       of the bus under test and periodic :class:`SystemSnapshot`
-       checkpoints,
+       of the bus under test,
     2. screens the whole library against that trace in one vectorized
        pass,
     3. skips simulation entirely for defects whose trace is clean
        (provably undetected — outcome identical to fault-free),
     4. groups the corrupting defects by their first corrupted
-       transaction and replays one defect per behavior from the last
-       golden checkpoint before that transaction — the replay only pays
-       for the suffix,
+       transaction and replays one defect per behavior from reset: the
+       fault-free prefix up to that transaction is stepped without a
+       hook, and the hooked run starts just before it,
     5. and *dedups* the rest of the group against that replay in one
        pass: the replay records the ``transition -> received`` decisions
        its run actually used, :func:`~repro.xtalk.screen.first_mismatch`
@@ -39,16 +38,16 @@ values; *how* a defect is judged is an engine concern:
     construction: clean defects cannot diverge, a deduped defect's run
     is forced through the same decisions as the recorded run it matched
     (the bus hook is the *only* path a defect influences the system
-    through), and a resumed replay re-executes every cycle from a state
-    the defective run provably shares.
+    through), and a replay's unhooked prefix ends before the first
+    cycle at which the defective run can differ from the golden one.
 
 Engines do not do their own per-defect observability — the campaign
 loop (:func:`repro.core.campaign.run_defects`) does — but the screened
 engine counts its
 triage decisions (``coverage.engine.screened_clean`` /
-``coverage.engine.replay_deduped`` / ``coverage.engine.replayed`` /
-``coverage.engine.checkpoint_resumed``) through the null-safe registry
-so campaign reports can show how much work screening saved.
+``coverage.engine.replay_deduped`` / ``coverage.engine.replayed``)
+through the null-safe registry so campaign reports can show how much
+work screening saved.
 """
 
 from __future__ import annotations
@@ -67,49 +66,23 @@ from repro.core.signature import (
 )
 from repro.obs import runtime as obs_runtime
 from repro.soc.bus import Bus, BusDirection, BusTransaction
-from repro.soc.system import CpuMemorySystem, SystemSnapshot
+from repro.soc.system import CpuMemorySystem
 from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
 from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.params import ElectricalParams
 from repro.xtalk.screen import ScreenVerdict, TraceScreen, first_mismatch
 
-#: Bounds on the automatic checkpoint spacing (cycles).  The golden runs
-#: of per-line programs are well under 100 cycles, so the lower clamp
-#: keeps even those resumable near their first corruption; the upper
-#: clamp bounds snapshot memory for long programs.
-MIN_CHECKPOINT_INTERVAL = 4
-MAX_CHECKPOINT_INTERVAL = 256
-CHECKPOINT_DENSITY = 64  # target ~this many checkpoints per golden run
-
-
 def _bus_of(system: CpuMemorySystem, bus: str) -> Bus:
     return system.address_bus if bus == "addr" else system.data_bus
 
 
 @dataclass(frozen=True)
-class Checkpoint:
-    """A golden-run :class:`SystemSnapshot` tagged with its cycle."""
-
-    cycle: int
-    snapshot: SystemSnapshot
-
-
-@dataclass(frozen=True)
 class GoldenCapture:
-    """One golden run's reference, bus trace, and checkpoint series."""
+    """One golden run's reference and bus trace."""
 
     golden: GoldenReference
     trace: List[BusTransaction]
-    checkpoints: List[Checkpoint]
-
-
-def auto_checkpoint_interval(golden_cycles: int) -> int:
-    """Checkpoint spacing targeting ~:data:`CHECKPOINT_DENSITY` snapshots."""
-    return max(
-        MIN_CHECKPOINT_INTERVAL,
-        min(MAX_CHECKPOINT_INTERVAL, golden_cycles // CHECKPOINT_DENSITY),
-    )
 
 
 def _count_golden_cycles(cycles: int) -> None:
@@ -124,21 +97,13 @@ def _count_golden_cycles(cycles: int) -> None:
 def capture_golden_with_trace(
     program: SelfTestProgram,
     bus: str,
-    interval: Optional[int] = None,
     base_image: Optional[bytes] = None,
 ) -> GoldenCapture:
-    """Run ``program`` fault-free, recording trace and checkpoints.
+    """Run ``program`` fault-free, recording the trace of ``bus``.
 
-    The run is step-for-step the one :meth:`CpuMemorySystem.run`
-    performs (reset to the program entry, clock until halt), so the
-    captured trace and checkpoints are exactly what every defective
-    replay reproduces up to its first corruption.
-
-    ``interval`` is the checkpoint spacing in cycles;
-    ``None`` derives it from the golden cycle count via
-    :func:`auto_checkpoint_interval`.  Campaigns use the derived
-    spacing; tests pass an explicit one to exercise resume from many
-    checkpoints.
+    The run is :meth:`CpuMemorySystem.run` with a trace observer on the
+    bus, so the captured trace is exactly what every defective replay
+    reproduces up to its first corruption.
 
     A plain :func:`~repro.core.signature.capture_golden` probe runs
     first (negligible against a library-sized campaign).  It raises the
@@ -147,31 +112,19 @@ def capture_golden_with_trace(
     """
     probe = signature.capture_golden(program)
     _count_golden_cycles(probe.cycles)
-    if interval is None:
-        interval = auto_checkpoint_interval(probe.cycles)
-    if interval <= 0:
-        raise ValueError("checkpoint interval must be positive")
-
     system = make_system(program, base_image)
     trace: List[BusTransaction] = []
     _bus_of(system, bus).add_observer(trace.append)
-    system.reset(program.entry)
-    checkpoints = [Checkpoint(cycle=0, snapshot=system.snapshot())]
-    while not system.cpu.halted and system.cycle < probe.cycles:
-        system.step()
-        if system.cycle % interval == 0 and not system.cpu.halted:
-            checkpoints.append(
-                Checkpoint(cycle=system.cycle, snapshot=system.snapshot())
-            )
-    if not system.cpu.halted:
+    result = system.run(entry=program.entry, max_cycles=probe.cycles)
+    if not result.halted:
         raise RuntimeError("traced golden run diverged from its probe")
-    _count_golden_cycles(system.cycle)
+    _count_golden_cycles(result.cycles)
     golden = GoldenReference(
         snapshot=system.memory.snapshot(),
-        cycles=system.cycle,
-        instructions=system.cpu.instruction_count,
+        cycles=result.cycles,
+        instructions=result.instructions,
     )
-    return GoldenCapture(golden=golden, trace=trace, checkpoints=checkpoints)
+    return GoldenCapture(golden=golden, trace=trace)
 
 
 class SimulationEngine:
@@ -287,10 +240,10 @@ class ScreenedEngine(SimulationEngine):
     ----------
     capture / verdicts:
         Golden artifacts (e.g. from :mod:`repro.core.cache`, or a
-        :func:`capture_golden_with_trace` with a chosen checkpoint
-        spacing).  With a ``capture`` the engine does zero golden
-        simulation; ``verdicts`` preloads screening results keyed by
-        defect index, so already-screened defects skip the screen too.
+        :func:`capture_golden_with_trace`).  With a ``capture`` the
+        engine does zero golden simulation; ``verdicts`` preloads
+        screening results keyed by defect index, so already-screened
+        defects skip the screen too.
         :attr:`verdicts` holds every verdict known so far.
 
     The engine learns its library from :meth:`prepare`; only prepared
@@ -319,7 +272,6 @@ class ScreenedEngine(SimulationEngine):
             )
         self.capture = capture
         self.golden = capture.golden
-        self.checkpoints = capture.checkpoints
         self.screen = TraceScreen(capture.trace, params, calibration)
         self._scratch = make_system(program, self._base_image)
         self.verdicts: Dict[int, ScreenVerdict] = dict(verdicts or {})
@@ -358,20 +310,6 @@ class ScreenedEngine(SimulationEngine):
             self.verdicts[defect.index] = verdict
         return verdict
 
-    def _checkpoint_before(self, cycle: int) -> Checkpoint:
-        """The latest golden checkpoint strictly before ``cycle``.
-
-        A transaction stamped with cycle *c* happens during the step
-        that advances the clock to *c*, so any checkpoint taken at a
-        cycle ``< c`` precedes it.
-        """
-        best = self.checkpoints[0]
-        for checkpoint in self.checkpoints:
-            if checkpoint.cycle >= cycle:
-                break
-            best = checkpoint
-        return best
-
     # -- judging ------------------------------------------------------------
 
     def check(self, defect: Defect) -> ResponseCheck:
@@ -391,11 +329,15 @@ class ScreenedEngine(SimulationEngine):
         group = self._pending.get(verdict.first_index, {})
         group.pop(defect.index, None)
         registry.counter("coverage.engine.replayed").inc()
-        checkpoint = self._checkpoint_before(verdict.first_cycle)
-        if checkpoint.cycle > 0:
-            registry.counter("coverage.engine.checkpoint_resumed").inc()
+        # The fault-free prefix, stepped without a hook.  A transaction
+        # stamped with cycle *c* happens during the step that advances
+        # the clock to *c*, so stopping at ``c - 1`` precedes the first
+        # corrupted one.
         system = self._scratch
-        system.restore(checkpoint.snapshot)
+        system.memory.restore(self._base_image)
+        system.reset(self.program.entry)
+        while system.cycle < verdict.first_cycle - 1:
+            system.step()
         model = CrosstalkErrorModel(defect.caps, self.params, self.calibration)
         hook = _RecordingHook(model)
         bus = _bus_of(system, self.bus)
@@ -426,11 +368,9 @@ class ScreenedEngine(SimulationEngine):
 
 
 __all__ = [
-    "Checkpoint",
     "GoldenCapture",
     "SimulationEngine",
     "ExactEngine",
     "ScreenedEngine",
-    "auto_checkpoint_interval",
     "capture_golden_with_trace",
 ]

@@ -120,14 +120,14 @@ class Cpu:
         self.instruction_count = 0
         self._decoded = None
 
-    # -- checkpointing ------------------------------------------------------
+    # -- state capture ----------------------------------------------------
 
     def snapshot(self) -> CpuSnapshot:
         """Capture the complete CPU state, mid-instruction included.
 
         The control FSM state and the microarchitectural latches are part
-        of the snapshot, so a restore may land between the cycles of one
-        instruction and execution still continues exactly.
+        of the snapshot, so two cores compared between the cycles of one
+        instruction are compared whole.
         """
         return CpuSnapshot(
             registers=self.registers.snapshot(),
@@ -139,17 +139,6 @@ class Cpu:
             pointer_address=self._pointer_address,
             operand=self._operand,
         )
-
-    def restore(self, snapshot: CpuSnapshot) -> None:
-        """Overwrite the CPU state with a previously captured snapshot."""
-        self.registers.restore(snapshot.registers)
-        self.state = snapshot.state
-        self.instruction_count = snapshot.instruction_count
-        self._decoded = snapshot.decoded
-        self._instruction_start = snapshot.instruction_start
-        self._effective_address = snapshot.effective_address
-        self._pointer_address = snapshot.pointer_address
-        self._operand = snapshot.operand
 
     # -- execution ----------------------------------------------------------
 

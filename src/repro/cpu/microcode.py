@@ -660,45 +660,3 @@ class FastCpu:
             pointer_address=self._pointer_address,
             operand=self._operand,
         )
-
-    def restore(self, snapshot: CpuSnapshot) -> None:
-        """Restore a snapshot taken from either core."""
-        registers = snapshot.registers
-        self.ac = registers.ac
-        self.pc = registers.pc
-        self.ir = registers.ir
-        self.arg = registers.arg
-        self.mar = registers.mar
-        self.flags = registers.flags.as_mask()
-        self.instruction_count = snapshot.instruction_count
-        self._decoded = snapshot.decoded
-        self._instruction_start = snapshot.instruction_start
-        self._effective_address = snapshot.effective_address
-        self._pointer_address = snapshot.pointer_address
-        self._operand = snapshot.operand
-        state = snapshot.state
-        if state is ControlState.HALTED:
-            self.halted = True
-            self._program = _HALT_STEPS
-            self._states = _HALT_STATES
-            self._step = 0
-            return
-        self.halted = False
-        if state is ControlState.FETCH1_ADDR or state is ControlState.FETCH1_DATA:
-            self._program = _FETCH_STEPS
-            self._states = _FETCH_STATES
-            self._step = 0 if state is ControlState.FETCH1_ADDR else 1
-            return
-        # Mid-instruction: IR still holds the first byte, so the state
-        # must appear in that byte's microprogram.
-        entry = MICROPROGRAMS[self.ir]
-        try:
-            step = entry.states.index(state)
-        except ValueError:
-            raise ValueError(
-                f"snapshot state {state.value!r} is unreachable for "
-                f"instruction byte {self.ir:#04x}"
-            ) from None
-        self._program = entry.steps
-        self._states = entry.states
-        self._step = step

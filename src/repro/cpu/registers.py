@@ -41,13 +41,6 @@ class Flags:
         """An independent copy of the current flag values."""
         return Flags(v=self.v, c=self.c, z=self.z, n=self.n)
 
-    def restore(self, snapshot: "Flags") -> None:
-        """Overwrite the flags with a previously captured snapshot."""
-        self.v = snapshot.v
-        self.c = snapshot.c
-        self.z = snapshot.z
-        self.n = snapshot.n
-
     def set_zn(self, value: int) -> None:
         """Update Z and N from an 8-bit result."""
         self.z = (value & _AC_MASK) == 0
@@ -89,8 +82,8 @@ class RegisterFile:
         """An independent copy of the whole register file.
 
         The returned object shares nothing with the live one; treat it
-        as immutable (it backs checkpoint/restore in the defect
-        simulator's screened engine).
+        as immutable (it backs :class:`~repro.cpu.datapath.CpuSnapshot`,
+        which the lockstep harness compares across cores).
         """
         return RegisterFile(
             ac=self.ac,
@@ -100,12 +93,3 @@ class RegisterFile:
             mar=self.mar,
             flags=self.flags.snapshot(),
         )
-
-    def restore(self, snapshot: "RegisterFile") -> None:
-        """Overwrite every register with a previously captured snapshot."""
-        self.ac = snapshot.ac
-        self.pc = snapshot.pc
-        self.ir = snapshot.ir
-        self.arg = snapshot.arg
-        self.mar = snapshot.mar
-        self.flags.restore(snapshot.flags)

@@ -100,12 +100,10 @@ class BusStats:
 
 @dataclass(frozen=True)
 class BusSnapshot:
-    """Complete restorable state of one bus: held word plus native counters.
+    """Complete state of one bus: held word plus native counters.
 
-    Counters are included so a run resumed from a checkpoint reports the
-    same cumulative statistics as the full run it shortcuts.  Hooks and
-    observers are deliberately *not* part of the snapshot — they are
-    wiring, not state, and survive a restore unchanged.
+    Hooks and observers are deliberately *not* part of the snapshot —
+    they are wiring, not state.
     """
 
     value: int
@@ -193,22 +191,6 @@ class Bus:
                 (kind, self._kind_counts[kind.value]) for kind in TransactionKind
             ),
         )
-
-    def restore(self, snapshot: BusSnapshot) -> None:
-        """Overwrite held word and counters with a snapshot.
-
-        The corruption hook and observers are untouched (as with
-        :meth:`reset`), so a caller can restore a checkpoint and then
-        install a different defect's hook for the resumed run.
-        """
-        if not 0 <= snapshot.value <= self._mask:
-            raise ValueError("snapshot value does not fit the bus width")
-        self._value = snapshot.value
-        self._transaction_count = snapshot.transactions
-        self._corrupted_count = snapshot.corrupted
-        self._kind_counts = {kind.value: 0 for kind in TransactionKind}
-        for kind, count in snapshot.by_kind:
-            self._kind_counts[kind.value] = count
 
     def account(
         self, held: int, kinds: Mapping[TransactionKind, int], corrupted: int

@@ -68,9 +68,8 @@ class Memory:
     def restore(self, snapshot: bytes) -> None:
         """Overwrite the whole memory content with a snapshot.
 
-        This is the fast path for resetting memory between defect
-        replays (a single ``bytearray`` slice assignment) and for
-        restoring checkpoints in the screened simulation engine.
+        This is the fast path for loading a program's base image before
+        each defect replay (a single ``bytearray`` slice assignment).
         """
         if len(snapshot) != self.size:
             raise ValueError("snapshot size mismatch")

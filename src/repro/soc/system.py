@@ -78,14 +78,13 @@ class RunResult:
 
 @dataclass(frozen=True)
 class SystemSnapshot:
-    """Complete restorable state of a :class:`CpuMemorySystem`.
+    """Complete state of a :class:`CpuMemorySystem`, for comparison.
 
     Everything the simulation depends on is captured: the clock, the CPU
     (mid-instruction latches included), the memory image, and both buses'
-    held words and counters.  Restoring a snapshot and resuming therefore
-    reproduces the original run cycle for cycle — the property the
-    screened defect-simulation engine relies on to fast-forward defective
-    replays to just before their first corrupted transaction.
+    held words and counters.  Two runs with equal snapshots are in the
+    same state, which is how the lockstep harness and the sled
+    fast-forward tests check one path of execution against another.
     """
 
     cycle: int
@@ -187,15 +186,15 @@ class CpuMemorySystem(BusPort):
         self.cycle += 1
         self.cpu.tick()
 
-    # -- checkpointing ------------------------------------------------------
+    # -- state capture ---------------------------------------------------
 
     def snapshot(self) -> SystemSnapshot:
-        """Capture the full system state for later :meth:`restore`.
+        """Capture the full system state.
 
-        Only pure CPU+memory systems are checkpointable: memory-mapped
-        peripheral cores keep private state the system cannot capture, so
-        a system with ``mmio_regions`` refuses to snapshot rather than
-        produce a checkpoint that silently resumes wrong.
+        Only pure CPU+memory systems can be captured whole: memory-mapped
+        peripheral cores keep private state the system cannot see, so a
+        system with ``mmio_regions`` refuses to snapshot rather than
+        produce a snapshot that silently omits it.
         """
         if self.mmio_regions:
             raise ValueError(
@@ -210,20 +209,6 @@ class CpuMemorySystem(BusPort):
             address_bus=self.address_bus.snapshot(),
             data_bus=self.data_bus.snapshot(),
         )
-
-    def restore(self, snapshot: SystemSnapshot) -> None:
-        """Rewind the system to a previously captured snapshot.
-
-        Bus corruption hooks and observers are not part of snapshots —
-        they survive a restore, so the caller can rewind to a golden
-        checkpoint and then install a defect's hook for the resumed run.
-        """
-        self.cycle = snapshot.cycle
-        self._pending_address = snapshot.pending_address
-        self.cpu.restore(snapshot.cpu)
-        self.memory.restore(snapshot.memory)
-        self.address_bus.restore(snapshot.address_bus)
-        self.data_bus.restore(snapshot.data_bus)
 
     # -- clocked execution ---------------------------------------------------
 
@@ -249,7 +234,8 @@ class CpuMemorySystem(BusPort):
         """Continue clocking without a reset.
 
         Used for cycle-level inspection and by the screened simulation
-        engine to continue from a restored checkpoint.  Instrumented the
+        engine to continue a replay after its stepped fault-free prefix.
+        Instrumented the
         same way as :meth:`run` (counter ``cpu.resumes`` instead of
         ``cpu.runs``); counter increments are deltas over this call, so
         a run split into resumes tallies the same totals as one run.

@@ -9,9 +9,9 @@ whose transition the defect's kernel corrupts.  Therefore:
 
 * a defect that corrupts *no* transaction of the golden trace provably
   behaves identically to the fault-free run — no simulation needed;
-* a defect whose first corrupted transaction is at cycle *c* can be
-  replayed from any fault-free checkpoint taken before *c* (see
-  :mod:`repro.core.engine`).
+* a defect whose first corrupted transaction is at cycle *c* runs the
+  fault-free prefix up to *c*, so a replay needs its hook only from
+  there (see :mod:`repro.core.engine`).
 
 A :class:`TraceScreen` evaluates a whole
 :class:`~repro.xtalk.defects.DefectLibrary` against one captured trace

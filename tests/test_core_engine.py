@@ -1,4 +1,4 @@
-"""Engine equivalence: screened == exact, checkpointed replay exactness."""
+"""Engine equivalence: screened == exact, replay-from-reset exactness."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,6 @@ from repro.core.campaign import CampaignSpec, run_campaign, run_defects
 from repro.core.engine import (
     ExactEngine,
     ScreenedEngine,
-    auto_checkpoint_interval,
     capture_golden_with_trace,
 )
 from repro.core.program_builder import SelfTestProgramBuilder
@@ -68,18 +67,15 @@ def test_screened_equals_exact_on_data_bus(data_program, data_setup):
 @given(
     seed=st.integers(0, 2**16),
     count=st.integers(1, 12),
-    interval=st.sampled_from([None, 1, 7, 64]),
+    warm=st.booleans(),
 )
 def test_screened_equals_exact_on_random_libraries(
-    addr_program, seed, count, interval
+    addr_program, seed, count, warm
 ):
     setup = default_bus_setup(12, defect_count=count, seed=seed)
     exact = outcomes(addr_program, setup, "addr", "exact")
-    capture = None
-    if interval is not None:
-        capture = capture_golden_with_trace(
-            addr_program, "addr", interval=interval
-        )
+    # A passed-in capture is the warm-cache path: no golden simulation.
+    capture = capture_golden_with_trace(addr_program, "addr") if warm else None
     engine = ScreenedEngine(
         addr_program, setup.params, setup.calibration, "addr",
         capture=capture,
@@ -125,35 +121,26 @@ def test_engines_share_golden_reference(addr_program, addr_setup):
 
 
 def test_capture_golden_with_trace(addr_program):
-    capture = capture_golden_with_trace(addr_program, "addr", interval=16)
+    capture = capture_golden_with_trace(addr_program, "addr")
     golden = capture_golden(addr_program)
     assert capture.golden.snapshot == golden.snapshot
     assert capture.golden.cycles == golden.cycles
     assert capture.trace, "address bus trace must not be empty"
-    assert capture.checkpoints[0].cycle == 0
-    cycles = [c.cycle for c in capture.checkpoints]
-    assert cycles == sorted(cycles)
-    assert all(c.cycle < golden.cycles for c in capture.checkpoints)
 
 
-def test_checkpoint_resume_reproduces_suffix(addr_program):
-    """restore(checkpoint) + resume == the uninterrupted golden run."""
-    capture = capture_golden_with_trace(addr_program, "addr", interval=8)
-    golden = capture.golden
-    for checkpoint in capture.checkpoints[1::3]:
+def test_stepped_prefix_then_resume_reproduces_golden(addr_program):
+    """reset + step() to cycle c + resume == the uninterrupted golden run."""
+    golden = capture_golden(addr_program)
+    for cut in (0, 1, 2, 7, golden.cycles // 2, golden.cycles - 1):
         system = make_system(addr_program)
-        system.restore(checkpoint.snapshot)
+        system.reset(addr_program.entry)
+        while system.cycle < cut:
+            system.step()
         result = system.resume(max_cycles=golden.max_cycles)
         assert result.halted
         assert result.cycles == golden.cycles
         assert result.instructions == golden.instructions
         assert system.memory.snapshot() == golden.snapshot
-
-
-def test_auto_checkpoint_interval_clamps():
-    assert auto_checkpoint_interval(40) == 4
-    assert auto_checkpoint_interval(640) == 10
-    assert auto_checkpoint_interval(1_000_000) == 256
 
 
 def test_screened_engine_uninstalls_hook(addr_program, addr_setup):

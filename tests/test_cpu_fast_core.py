@@ -115,29 +115,6 @@ def test_lockstep_divergence_is_assertion_error():
 # ---------------------------------------------------------------- state
 
 
-def test_cross_core_snapshot_restore(address_program):
-    """A mid-run FSM snapshot restores into the fast core and resumes
-    to the identical final state (and vice versa)."""
-    reference = reference_system(address_program.memory_size)
-    reference.load_image(address_program.image)
-    reference.reset(address_program.entry)
-    for _ in range(137):
-        reference.step()
-    frozen = reference.snapshot()
-
-    fast = CpuMemorySystem(memory_size=address_program.memory_size)
-    fast.restore(frozen)
-    assert fast.cpu.snapshot() == reference.cpu.snapshot()
-
-    while not reference.cpu.halted:
-        reference.step()
-        fast.step()
-    assert fast.cpu.halted
-    assert fast.cycle == reference.cycle
-    assert fast.memory.snapshot() == reference.memory.snapshot()
-    assert fast.cpu.snapshot() == reference.cpu.snapshot()
-
-
 def test_fast_registers_view(address_program):
     """The read-only register view matches the packed internal state."""
     system = CpuMemorySystem(memory_size=address_program.memory_size)

@@ -78,71 +78,6 @@ def test_resume_continues_without_reset():
     assert result.instructions == 3
 
 
-def test_snapshot_restore_replays_identically():
-    """run k, snapshot, run on, restore, run on again -> identical trace."""
-    system = CpuMemorySystem()
-    program = assemble(
-        """
-        .org 0x10
-        lda val
-        add val
-        sta out
-        lda@ ptr
-        sta out2
-halt:   jmp halt
-val:    .byte 0x21
-out:    .byte 0
-out2:   .byte 0
-        .org 0x60
-ptr:    .byte 0x80
-        .org 0x80
-        .byte 0x5A
-        """
-    )
-    system.load_image(program.image)
-    system.reset(0x10)
-    for _ in range(13):  # deliberately mid-instruction
-        system.step()
-    snap = system.snapshot()
-    recorded = []
-    system.address_bus.add_observer(recorded.append)
-    system.data_bus.add_observer(recorded.append)
-    first = system.resume(max_cycles=10_000)
-    split = len(recorded)
-    system.restore(snap)
-    second = system.resume(max_cycles=10_000)
-    assert first.halted
-    assert first == second
-    assert recorded[split:] == recorded[:split]
-
-
-def test_snapshot_restores_bus_counters_and_clock():
-    system = CpuMemorySystem()
-    program = assemble(".org 0x10\nnop\nnop\nhalt: jmp halt")
-    system.load_image(program.image)
-    system.reset(0x10)
-    for _ in range(5):
-        system.step()
-    snap = system.snapshot()
-    stats_then = system.address_bus.stats()
-    system.resume()
-    system.restore(snap)
-    assert system.cycle == 5
-    assert system.address_bus.stats() == stats_then
-    assert not system.cpu.halted
-
-
-def test_restore_overwrites_memory():
-    system = CpuMemorySystem()
-    program = assemble(".org 0x10\nhalt: jmp halt")
-    system.load_image(program.image)
-    system.reset(0x10)
-    snap = system.snapshot()
-    system.memory.write(0x200, 0xEE)
-    system.restore(snap)
-    assert system.memory.read(0x200) == 0x00
-
-
 def test_snapshot_refused_with_mmio_regions():
     import pytest
 
