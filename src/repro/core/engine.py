@@ -16,8 +16,8 @@ values; *how* a defect is judged is an engine concern:
 
     1. captures the golden run **once** with the full transaction trace
        of the bus under test,
-    2. screens the whole library against that trace in one vectorized
-       pass,
+    2. screens the whole library against that trace in one gather from
+       the library's per-wire decision tables (built at :meth:`prepare`),
     3. skips simulation entirely for defects whose trace is clean
        (provably undetected — outcome identical to fault-free),
     4. groups the corrupting defects by their first corrupted
@@ -27,7 +27,8 @@ values; *how* a defect is judged is an engine concern:
     5. and *dedups* the rest of the group against that replay in one
        pass: the replay records the ``transition -> received`` decisions
        its run actually used, :func:`~repro.xtalk.screen.first_mismatch`
-       tests every pending defect of the group against them, and each
+       tests every pending defect of the group against them in one
+       gather from the same tables, and each
        defect whose kernel agrees on every one provably reproduces the
        run cycle for cycle, so it gets the replay's outcome without
        simulating (random capacitance perturbations cluster heavily —
@@ -71,7 +72,9 @@ from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
 from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.params import ElectricalParams
-from repro.xtalk.screen import ScreenVerdict, TraceScreen, first_mismatch
+from repro.xtalk.screen import (
+    ScreenVerdict, TraceScreen, decision_tables, first_mismatch,
+)
 
 def _bus_of(system: CpuMemorySystem, bus: str) -> Bus:
     return system.address_bus if bus == "addr" else system.data_bus
@@ -289,8 +292,13 @@ class ScreenedEngine(SimulationEngine):
         :attr:`verdicts`, and group the corrupting ones by their first
         corrupted transaction for replay dedup.  Without it
         :meth:`check` screens lazily, one defect at a time, and replays
-        every corrupting defect."""
+        every corrupting defect.  Raises ``ValueError`` for a defect
+        that couples wires that are not neighbours (the decision tables
+        cannot describe it; :class:`ExactEngine` can)."""
         defects = list(defects)
+        if defects:  # one table for the library, warm or cold
+            caps = [defect.caps for defect in defects]
+            decision_tables(caps, self.params, self.calibration)
         missing = [
             defect for defect in defects if defect.index not in self.verdicts
         ]

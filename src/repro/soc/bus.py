@@ -27,6 +27,10 @@ class BusDirection(enum.Enum):
     CPU_TO_MEM = "cpu_to_mem"
     MEM_TO_CPU = "mem_to_cpu"
 
+    # Members are singletons, so identity hashing is sound; replays key
+    # every recorded transition by direction, and Enum's hash is Python.
+    __hash__ = object.__hash__
+
 
 class TransactionKind(enum.Enum):
     """What a bus transaction was for (used by tracing and analysis)."""

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.xtalk.geometry import BusGeometry
@@ -29,6 +30,9 @@ from repro.xtalk.geometry import BusGeometry
 C_AREA_COUPLING = 0.08
 #: Ground (area + fringe) capacitance per um of wire length, fF/um.
 C_GROUND_PER_UM = 0.04
+
+#: A NaN coupling would never flip a wire and silently lower coverage.
+_NOT_A_CAPACITANCE = "capacitances must be finite and non-negative"
 
 
 @dataclass(frozen=True)
@@ -42,28 +46,43 @@ class CapacitanceSet:
 
     coupling: Tuple[Tuple[float, ...], ...]
     ground: Tuple[float, ...]
+    #: The widest coupled wire distance ``|i - j|``: 1 on a bus with
+    #: nearest-neighbour coupling, which the screen's tables need.
+    reach: int = field(default=0, init=False, compare=False, repr=False)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __post_init__(self):
-        # Sets key the screen's per-defect array cache; hashing the
-        # nested tuples on every lookup cost more than the lookup.
+        # The campaign's library-digest memo hashes every defect, and
+        # with it this set, once per program; hashing the nested tuples
+        # each time cost more than the lookup.
         object.__setattr__(self, "_hash", hash((self.coupling, self.ground)))
-        n = len(self.ground)
-        if len(self.coupling) != n:
+        coupling, ground = self.coupling, self.ground
+        n = len(ground)
+        if n == 0:
+            raise ValueError("a capacitance set needs at least one wire")
+        if len(coupling) != n:
             raise ValueError("coupling matrix size must match ground vector")
-        for i, row in enumerate(self.coupling):
+        for i, row in enumerate(coupling):
             if len(row) != n:
                 raise ValueError("coupling matrix must be square")
             if row[i] != 0.0:
                 raise ValueError("coupling matrix diagonal must be zero")
+        reach, inf = 0, math.inf
         for i in range(n):
+            if not 0.0 <= ground[i] < inf:
+                raise ValueError(_NOT_A_CAPACITANCE)
+            row = coupling[i]
             for j in range(n):
-                if abs(self.coupling[i][j] - self.coupling[j][i]) > 1e-12:
+                value = row[j]
+                if not 0.0 <= value < inf:
+                    raise ValueError(_NOT_A_CAPACITANCE)
+                if abs(value - coupling[j][i]) > 1e-12:
                     raise ValueError("coupling matrix must be symmetric")
-                if self.coupling[i][j] < 0 or (i != j and self.ground[i] < 0):
-                    raise ValueError("capacitances must be non-negative")
+                if value and abs(i - j) > reach:
+                    reach = abs(i - j)
+        object.__setattr__(self, "reach", reach)
 
     @property
     def wire_count(self) -> int:

@@ -22,11 +22,11 @@ precomputed into the capacitance domain at construction time, keeping
 the per-transition cost low — the defect simulator calls this hook
 millions of times).  The model adds the stateful parts: native tallies
 and the hook signature, plus the hook's batch form
-(:meth:`~CrosstalkErrorModel.corrupt_many` and
-:meth:`~CrosstalkErrorModel.consume`), which lets a replay jump through
-an empty-memory sled.  :class:`~repro.xtalk.screen.TraceScreen` uses
-the same kernel to pre-screen whole defect libraries against a golden
-transaction trace without simulating anything.
+(:meth:`~CrosstalkErrorModel.corrupt_many`, one decision-table read,
+and :meth:`~CrosstalkErrorModel.consume`), which lets a replay jump
+through an empty-memory sled.  :class:`~repro.xtalk.screen.TraceScreen`
+uses the same tables to pre-screen whole defect libraries against a
+golden transaction trace without simulating anything.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class CrosstalkErrorModel:
     ) -> List[int]:
         """The word the receiver samples for each transition, in order.
 
-        The batch form of :meth:`corrupt` (one vector kernel call, see
-        :func:`~repro.xtalk.screen.decide_many`).  It tallies nothing:
+        The batch form of :meth:`corrupt` (one decision-table gather,
+        see :func:`~repro.xtalk.screen.decide_many`).  It tallies nothing:
         the caller passes the transitions its run actually used to
         :meth:`consume`.
         """

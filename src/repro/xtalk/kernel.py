@@ -12,18 +12,14 @@ the receiver samples wrongly:
   coupling load exceeds the per-direction delay slack.
 
 The kernel is **pure**: :meth:`decide` and :meth:`explain` depend only
-on the constructor arguments and their parameters, and mutate nothing.  This is what lets the same decision
-logic back three consumers without drift:
-
-* :class:`~repro.xtalk.error_model.CrosstalkErrorModel` — the bus
-  corruption hook (adds tallies around :meth:`decide`);
-* ``CrosstalkErrorModel.explain`` — wire-by-wire diagnostics
-  (:meth:`explain`), previously a copy of the Miller-weighting loop;
-* :class:`~repro.xtalk.screen.TraceScreen` — the whole-library trace
-  screen, whose scalar ``screen_one`` calls :meth:`decide` directly and
-  whose vectorized ``screen`` re-derives the same thresholds in bulk
-  (as does :func:`~repro.xtalk.screen.decide_many`, the model's batch
-  form; both hand borderline rows back to :meth:`decide`).
+on the constructor arguments and mutate nothing.  It backs the bus
+corruption hook (:class:`~repro.xtalk.error_model.CrosstalkErrorModel`,
+which adds tallies), its wire-by-wire diagnostics (:meth:`explain`) and
+the screen's scalar reference ``TraceScreen.screen_one``.  The screen's
+vectorized paths read :func:`~repro.xtalk.screen.decision_tables`
+instead: the same sums and thresholds, evaluated once per wire window
+with this class's float operations in this class's order, so they agree
+bit for bit.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Dict, Tuple, Union
@@ -46,6 +47,9 @@ class ElectricalParams:
     glitch_attenuation: float = 0.55
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         if self.vdd <= 0:
             raise ValueError("vdd must be positive")
         if self.r_driver_cpu <= 0 or self.r_driver_mem <= 0:

@@ -18,26 +18,21 @@ A :class:`TraceScreen` evaluates a whole
 and returns, per defect, the index/cycle of its first corrupted
 transaction or a ``clean`` verdict.
 
-The vectorized work is :func:`first_mismatch`, one block scan that
-computes the received word per ``(defect, transition)`` and reports
-each defect's first transition whose word differs from a target.
-:meth:`TraceScreen.screen` uses it with the driven words as targets:
-unique transitions, in first-occurrence order, are reduced to aggressor
-weight vectors once, per-defect thresholds (which only depend on each
-defect's capacitance matrix) are computed in bulk, and batched matrix
-products classify ``(defect, transition)`` pairs.  The transitions are
-scanned in blocks of increasing size and a defect retires at the first
-block that corrupts it; the first corrupted position inside that block
-is its verdict.  Because first occurrences increase along the unique
-list, this is the same verdict as a full scan, but most defects of a
-corrupting library never see the later blocks.  The screened engine's
-replay dedup uses the same scan with a recorded replay's received words
-as targets.  :func:`decide_many` is the same vector kernel for one
-defect: the received word of every transition of a list, which the
-error model's batch hook gives a replay fast-forwarding through an
-empty-memory sled.  Comparisons use a small epsilon band: a row with a
-margin inside it goes to the scalar kernel, so a float summation-order
-difference can never change an answer.
+The vectorized work reads per-wire **decision tables**.  Every bus here
+couples nearest neighbours only (:attr:`CapacitanceSet.reach` is 1), so
+the kernel's decision for wire *i* depends only on the direction and the
+previous and driven bits of wires *i*-1, *i* and *i*+1: one of 64
+windows.  :func:`decision_tables` evaluates a library once over all
+``2 directions x n wires x 64 windows`` with the kernel's own float
+operations in the kernel's own order, so every entry equals
+:meth:`TransitionKernel.decide` bit for bit.  :func:`first_mismatch`
+gathers a transition list's unique ``(window, required flip)`` pairs
+(at most ``2 x 2 x n x 64``) for every defect and reports each defect's
+first transition whose received word differs from a target: the driven
+words for :meth:`TraceScreen.screen`, a recorded replay's received
+words for the engine's replay dedup.  :func:`decide_many` reads one
+set's received words for a list, the error model's batch hook for a
+replay fast-forwarding through an empty-memory sled.
 
 :meth:`TraceScreen.screen_one` is the scalar reference: one
 :class:`TransitionKernel` scan over the deduplicated transitions with
@@ -50,6 +45,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,152 +57,152 @@ from repro.xtalk.defects import Defect
 from repro.xtalk.kernel import TransitionKernel
 from repro.xtalk.params import LN2, ElectricalParams
 
-#: Relative half-width of the borderline band around every threshold
-#: comparison in :func:`first_mismatch`.  float64 dot products over a
-#: dozen terms are accurate to ~1e-15 relative, so 1e-9 is a generous
-#: safety margin while keeping scalar fallbacks to (essentially) zero.
-EPSILON = 1e-9
-
-#: Transitions in the first block of a scan; each later block is twice
-#: the size of the one before, so a scan costs O(log U) passes.
-FIRST_BLOCK = 16
-
-#: Memory bound, not a tuning knob: elements in one ``[defects, block,
-#: wires]`` temporary of :func:`first_mismatch` (256 KiB of float64).
-MAX_BLOCK_ELEMENTS = 32_768
+#: ``(left, right)`` neighbour weights of a switching victim's load
+#: (``2 * cc`` is the kernel's ``cc + cc``, exactly) and signs of a
+#: stable victim's injected charge.
+_LOAD_WEIGHTS = np.array(list(product((0.0, 1.0, 2.0), repeat=2)))
+_CHARGE_SIGNS = np.array(list(product((-1.0, 0.0, 1.0), repeat=2)))
 
 
-#: ``CapacitanceSet -> (coupling [n, n], ground [n])`` float64 arrays.
-#: Campaigns evaluate the same defect library against many programs, so
-#: the list-of-lists -> ndarray conversion is paid once per defect, not
-#: once per (defect, program).  Weak keys: entries die with their set.
-_DEFECT_ARRAY_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+def _window_outcomes() -> np.ndarray:
+    """For each window ``previous bits << 3 | driven bits`` (bit 0 wire
+    *i*-1, bit 1 wire *i*, bit 2 wire *i*+1), the column of
+    :func:`_build`'s outcomes that decides it: a delay load ``0..8``, a
+    glitch on a stable 0 ``9..17``, on a stable 1 ``18..26``."""
+    outcomes = []
+    for window in range(64):
+        changed, after = (window >> 3) ^ (window & 7), window & 7
+        high = after >> 1 & 1
+        moved = [(changed >> b & 1, after >> b & 1) for b in (0, 2)]
+        if changed & 2:  # switching victim: 2x opposite, 0x same, 1x quiet
+            left, right = ((2 if up != high else 0) if m else 1 for m, up in moved)
+            outcomes.append(left * 3 + right)
+        else:  # stable victim: +1 rising, -1 falling, 0 quiet
+            left, right = ((1 if up else -1) if m else 0 for m, up in moved)
+            outcomes.append(9 + 9 * high + (left + 1) * 3 + right + 1)
+    return np.array(outcomes)
 
 
-def _defect_arrays(caps: CapacitanceSet):
-    cached = _DEFECT_ARRAY_CACHE.get(caps)
-    if cached is None:
-        cached = (
-            np.array(caps.coupling, dtype=np.float64),
-            np.array(caps.ground, dtype=np.float64),
-        )
-        _DEFECT_ARRAY_CACHE[caps] = cached
-    return cached
+_WINDOW_OUTCOMES = _window_outcomes()
 
 
-class _Geometry:
-    """Per-transition aggressor geometry of a transition list.
+def _build(
+    caps: Sequence[CapacitanceSet],
+    params: ElectricalParams,
+    calibration: Calibration,
+) -> np.ndarray:
+    """The ``[sets, 2 * n * 64]`` flip table of ``caps``.
 
-    The vector form of what :meth:`TransitionKernel.decide` derives per
-    call: quiet aggressors weigh 1x, opposite-direction aggressors 2x,
-    same-direction aggressors 0x, and stable victims see the signed
-    injected charge of their switching neighbours.  Rows are
-    transitions, columns wires.
+    Each term is the kernel's: a load is ``(0.0 + left term) + right
+    term``, an injected charge ``(0.0 +- left) +- right``, the glitch
+    threshold ``v_th * (ground + net) / scale`` with ``net`` exactly
+    ``left + right``, and the delay slack ``margin_cap - ground``.
+    Adding or scaling a zero, or multiplying by 1 or 2, is exact, so the
+    vector form rounds exactly where the scalar loop does.
     """
-
-    __slots__ = (
-        "previous", "driven", "direction_index", "powers", "switching",
-        "high", "up", "weights_rising", "weights_falling", "signed",
-    )
-
-    def __init__(
-        self, transitions: Sequence[Tuple[int, int, BusDirection]], width: int
-    ):
-        self.previous = np.array([t[0] for t in transitions], dtype=np.int64)
-        self.driven = np.array([t[1] for t in transitions], dtype=np.int64)
-        self.direction_index = np.array(
-            [0 if t[2] is BusDirection.CPU_TO_MEM else 1 for t in transitions],
-            dtype=np.int64,
-        )
-        self.powers = powers = 1 << np.arange(width, dtype=np.int64)
-        self.switching = (
-            (self.previous ^ self.driven)[:, None] & powers
-        ) != 0  # [T, n]
-        self.high = (self.driven[:, None] & powers) != 0  # [T, n]
-        self.up = self.switching & self.high  # victims switching 0 -> 1
-        up = self.up.astype(np.float64)
-        down = self.switching.astype(np.float64) - up
-        stable = 1.0 - up - down
-        self.weights_rising = stable + 2.0 * down
-        self.weights_falling = stable + 2.0 * up
-        self.signed = up - down
-
-
-class _Thresholds:
-    """Per-defect thresholds in the capacitance domain, one row per
-    capacitance set: the vector form of :class:`TransitionKernel`'s
-    constructor."""
-
-    __slots__ = ("coupling", "glitch_threshold", "eps_glitch", "slack")
-
-    def __init__(
-        self,
-        caps: Sequence[CapacitanceSet],
-        params: ElectricalParams,
-        calibration: Calibration,
-    ):
-        margin_cap = np.array(
-            [
-                calibration.margin_for(direction)
-                / (LN2 * params.r_for(direction) * 1e-15)
-                for direction in (
-                    BusDirection.CPU_TO_MEM,
-                    BusDirection.MEM_TO_CPU,
-                )
-            ]
-        )  # [2]
-        scale = params.glitch_attenuation * params.vdd
-        arrays = [_defect_arrays(c) for c in caps]
-        self.coupling = coupling = np.stack([a[0] for a in arrays])  # [D, n, n]
-        ground = np.stack([a[1] for a in arrays])  # [D, n]
-        self.glitch_threshold = (
-            calibration.v_th * (ground + coupling.sum(axis=2)) / scale
-        )  # [D, n]
-        self.eps_glitch = EPSILON * (np.abs(self.glitch_threshold) + 1.0)
-        self.slack = margin_cap[None, :, None] - ground[:, None, :]  # [D, 2, n]
+    for c in caps:
+        if c.reach > 1:
+            i, j = next(
+                (i, j) for i, row in enumerate(c.coupling)
+                for j, value in enumerate(row) if value and abs(i - j) > 1
+            )
+            raise ValueError(
+                f"wires {i} and {j} are coupled; decision tables need "
+                "nearest-neighbour coupling only"
+            )
+    count, width = len(caps), caps[0].wire_count
+    left = np.zeros((count, width))
+    right = np.zeros((count, width))
+    if width > 1:
+        left[:, 1:] = [
+            [row[i - 1] for i, row in enumerate(c.coupling) if i] for c in caps
+        ]
+        right[:, :-1] = [
+            [row[i + 1] for i, row in enumerate(c.coupling[:-1])] for c in caps
+        ]
+    ground = np.array([c.ground for c in caps], dtype=np.float64)
+    margin_cap = np.array([
+        calibration.margin_for(direction)
+        / (LN2 * params.r_for(direction) * 1e-15)
+        for direction in (BusDirection.CPU_TO_MEM, BusDirection.MEM_TO_CPU)
+    ])
+    slack = margin_cap[None, :, None] - ground[:, None, :]  # [m, 2, n]
+    scale = params.glitch_attenuation * params.vdd
+    threshold = (calibration.v_th * (ground + (left + right)) / scale)[..., None]
+    left, right = left[..., None], right[..., None]
+    # One [m, n, 9] float buffer at a time keeps the build's peak memory
+    # low; ``-x > t`` is ``x < -t`` exactly.
+    sums = _LOAD_WEIGHTS[:, 0] * left
+    sums += _LOAD_WEIGHTS[:, 1] * right
+    delay = sums[:, None] > slack[..., None]  # [m, 2, n, 9]
+    np.multiply(_CHARGE_SIGNS[:, 0], left, out=sums)
+    sums += _CHARGE_SIGNS[:, 1] * right
+    glitch = np.concatenate([sums > threshold, sums < -threshold], -1)
+    del sums
+    outcomes = np.concatenate(
+        [delay, np.broadcast_to(glitch[:, None], (count, 2, width, 18))], -1
+    )  # [m, 2, n, 27]
+    return outcomes.take(_WINDOW_OUTCOMES, axis=-1).reshape(count, -1)
 
 
-def _flip_block(
-    geometry: _Geometry,
-    thresholds: _Thresholds,
-    start: int,
-    stop: int,
-    chunk: np.ndarray,
+#: ``id(set) -> (weak reference to the set, params, calibration, table,
+#: row)``: the set's flip row is ``table[row]``.  Sets built together
+#: share one table, so a call over a library gathers from one matrix.
+#: Keyed by identity because a library-sized lookup runs on every dedup
+#: call; the weak reference tells a live set from a reused id, and each
+#: build drops the entries of dead sets.
+_TABLES: Dict[int, tuple] = {}
+
+
+def decision_tables(
+    caps: Sequence[CapacitanceSet],
+    params: ElectricalParams,
+    calibration: Calibration,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Flipped-wire words and borderline flags of transitions
-    ``start:stop`` for the defects ``chunk``, both ``[d, B]``.
+    """``(table, rows)``: ``table[rows[k]]`` is the flip row of
+    ``caps[k]``, indexed by ``(direction * n + wire) * 64 + window``
+    (direction 0 is ``CPU_TO_MEM``).
 
-    Every threshold comparison is made with an :data:`EPSILON` band; a
-    row with any wire inside the band is borderline and its word must
-    come from the scalar kernel.
+    The rows come from the cache when one earlier call built them all
+    together with the same ``params`` and ``calibration``; otherwise one
+    new table is built for all of ``caps``.  Raises ``ValueError`` when
+    a set couples wires that are not neighbours.
     """
-    switching = geometry.switching[start:stop]
-    c = thresholds.coupling[chunk]
-    # coupling is symmetric, so W @ coupling sums over neighbours j of
-    # victim i as the kernel's loop does.
-    load = np.where(
-        geometry.up[start:stop],
-        np.matmul(geometry.weights_rising[start:stop], c),
-        np.matmul(geometry.weights_falling[start:stop], c),
-    )  # [d, B, n]
-    slack = thresholds.slack[chunk][:, geometry.direction_index[start:stop], :]
-    delay_margin = load - slack
-    eps_delay = EPSILON * (np.abs(slack) + 1.0)
-    injected = np.matmul(geometry.signed[start:stop], c)
-    glitch_margin = (
-        np.where(geometry.high[start:stop], -injected, injected)
-        - thresholds.glitch_threshold[chunk][:, None, :]
-    )
-    eps_glitch = thresholds.eps_glitch[chunk][:, None, :]
-    flipped = np.where(
-        switching, delay_margin > eps_delay, glitch_margin > eps_glitch
-    )
-    borderline = np.where(
-        switching,
-        np.abs(delay_margin) <= eps_delay,
-        np.abs(glitch_margin) <= eps_glitch,
-    ).any(axis=2)
-    return flipped.astype(np.int64) @ geometry.powers, borderline
+    entries = [_TABLES.get(id(c)) for c in caps]
+    first = entries[0]
+    if (
+        first is not None
+        and first[1] is params
+        and first[2] is calibration
+        and all(
+            entry is not None and entry[3] is first[3] and entry[0]() is c
+            for entry, c in zip(entries, caps)
+        )
+    ):
+        return first[3], np.array([entry[4] for entry in entries], dtype=np.intp)
+    table = _build(caps, params, calibration)
+    for key in [key for key, entry in _TABLES.items() if entry[0]() is None]:
+        del _TABLES[key]
+    for row, c in enumerate(caps):
+        _TABLES[id(c)] = (weakref.ref(c), params, calibration, table, row)
+    return table, np.arange(len(caps))
+
+
+def _columns(
+    transitions: Sequence[Tuple[int, int, BusDirection]], width: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The previous and driven words of a transition list, and its
+    ``[T, n]`` table columns: each transition's window at each wire."""
+    old, new, directions = zip(*transitions)
+    previous = np.array(old, dtype=np.int64)
+    driven = np.array(new, dtype=np.int64)
+    shifts, mask = np.arange(width), (1 << width) - 1
+    before = (((previous & mask) << 1)[:, None] >> shifts) & 7
+    after = (((driven & mask) << 1)[:, None] >> shifts) & 7
+    mem_to_cpu = BusDirection.MEM_TO_CPU
+    reverse = np.array([d is mem_to_cpu for d in directions], dtype=np.int64)
+    columns = ((reverse[:, None] * width + shifts) << 6) | (before << 3) | after
+    return previous, driven, columns
 
 
 def first_mismatch(
@@ -226,49 +222,35 @@ def first_mismatch(
     transition); the engine's replay dedup asks with the words a recorded
     replay received (first disagreement with that run).
 
-    The transitions are scanned in blocks of :data:`FIRST_BLOCK`, then
-    twice that, and so on, and a defect is dropped at the first block
-    that holds a difference, so a library that mostly differs early
-    never pays for the later blocks.  Every threshold comparison is made
-    with a :data:`EPSILON` band: a row with any wire inside the band is
-    borderline, and its received word comes from the scalar
-    :meth:`TransitionKernel.decide`, so the answer is exact.
+    Each ``(transition, wire)`` is a table column plus the flip its
+    target requires.  Only the first occurrence of each unique pair can
+    be a defect's first mismatch, so the pairs, sorted by first
+    occurrence, are gathered once for every defect and a defect's first
+    mismatching pair gives its position.  A transition with ``previous
+    == driven`` is received as driven by every defect.
     """
+    if not defects:
+        return []
+    table, rows = decision_tables([d.caps for d in defects], params, calibration)
     first = np.full(len(defects), -1, dtype=np.int64)
-    count = len(transitions)
-    if not defects or not count:
+    if not transitions:
         return first.tolist()
     width = defects[0].caps.wire_count
-    geometry = _Geometry(transitions, width)
-    expected_flips = geometry.driven ^ np.array(targets, dtype=np.int64)  # [T]
-    thresholds = _Thresholds([d.caps for d in defects], params, calibration)
-
-    max_block = max(FIRST_BLOCK, MAX_BLOCK_ELEMENTS // width)
-    kernels: Dict[int, TransitionKernel] = {}  # borderline rows only
-    active = np.arange(len(defects))
-    start, block = 0, FIRST_BLOCK
-    while start < count and active.size:
-        stop = min(count, start + block)
-        rows = max(1, MAX_BLOCK_ELEMENTS // ((stop - start) * width))
-        for lo in range(0, active.size, rows):
-            chunk = active[lo:lo + rows]
-            flips, borderline = _flip_block(
-                geometry, thresholds, start, stop, chunk
-            )
-            differs = flips != expected_flips[start:stop]  # [d, B]
-            for row, column in zip(*np.nonzero(borderline)):
-                index = chunk[row]
-                if index not in kernels:
-                    kernels[index] = TransitionKernel(
-                        defects[index].caps, params, calibration
-                    )
-                position = start + column
-                received = kernels[index].decide(*transitions[position])[0]
-                differs[row, column] = received != targets[position]
-            hit = differs.any(axis=1)
-            first[chunk[hit]] = start + differs[hit].argmax(axis=1)
-        active = active[first[active] < 0]
-        start, block = stop, min(2 * block, max_block)
+    previous, driven, columns = _columns(transitions, width)
+    wanted = np.array(targets, dtype=np.int64)
+    required = ((driven ^ wanted)[:, None] >> np.arange(width)) & 1
+    pairs = (columns << 1) | required
+    moving = np.flatnonzero(previous != driven)
+    pairs, occurrence = np.unique(pairs[moving], return_index=True)
+    if pairs.size:
+        order = np.argsort(occurrence, kind="stable")
+        pairs, at = pairs[order], moving[occurrence[order] // width]
+        mismatch = table[rows[:, None], pairs >> 1]  # [D, K] bool
+        mismatch ^= (pairs & 1).astype(bool)
+        first = np.where(mismatch.any(axis=1), at[mismatch.argmax(axis=1)], -1)
+    stuck = np.flatnonzero((previous == driven) & (wanted != driven))
+    if stuck.size:
+        first[(first < 0) | (first > stuck[0])] = stuck[0]
     return first.tolist()
 
 
@@ -281,31 +263,18 @@ def decide_many(
 ) -> List[int]:
     """The received word of every transition, for one capacitance set.
 
-    The vector form of ``kernel.decide(...)[0]`` over a whole list, with
-    the same geometry and thresholds :func:`first_mismatch` uses;
-    ``kernel`` must be built from ``(caps, params, calibration)`` and
-    judges the borderline rows, so every word equals the scalar one.
-    A transition with ``previous == driven`` is received as driven.
+    The table form of ``kernel.decide(...)[0]`` over a whole list: one
+    gather from the flip row of ``caps``, which equals ``kernel`` (built
+    from ``(caps, params, calibration)``) entry for entry.  A transition
+    with ``previous == driven`` is received as driven.
     """
-    count = len(transitions)
-    if not count:
+    if not transitions:
         return []
-    width = caps.wire_count
-    geometry = _Geometry(transitions, width)
-    thresholds = _Thresholds([caps], params, calibration)
-    only = np.zeros(1, dtype=np.int64)
-    flips = np.empty(count, dtype=np.int64)
-    block = max(1, MAX_BLOCK_ELEMENTS // width)
-    for start in range(0, count, block):
-        stop = min(count, start + block)
-        words, borderline = _flip_block(geometry, thresholds, start, stop, only)
-        flips[start:stop] = words[0]
-        for column in np.flatnonzero(borderline[0]):
-            position = start + int(column)
-            previous, driven, direction = transitions[position]
-            flips[position] = kernel.decide(previous, driven, direction)[0] ^ driven
-    flips[geometry.previous == geometry.driven] = 0
-    return (geometry.driven ^ flips).tolist()
+    table, rows = decision_tables([caps], params, calibration)
+    previous, driven, columns = _columns(transitions, caps.wire_count)
+    flips = table[rows[0]][columns]
+    flips[previous == driven] = False
+    return (driven ^ (flips @ (1 << np.arange(caps.wire_count)))).tolist()
 
 
 @dataclass(frozen=True)
@@ -354,27 +323,17 @@ class TraceScreen:
         # transition to its earliest trace position; the first corrupted
         # transaction of a defect is then the minimum first occurrence
         # over its corrupted uniques.
-        uniques: List[Tuple[int, int, BusDirection]] = []
-        first_occurrence: List[int] = []
-        cycles: List[int] = []
-        seen = set()
+        seen: Dict[Tuple[int, int, BusDirection], int] = {}
         for index, transaction in enumerate(trace):
-            previous = transaction.previous
-            driven = transaction.driven
-            if previous == driven:
-                continue  # no transition, can never corrupt
-            key = (previous, driven, transaction.direction)
-            if key in seen:
-                continue
-            seen.add(key)
-            uniques.append(key)
-            first_occurrence.append(index)
-            cycles.append(transaction.cycle)
+            previous, driven = transaction.previous, transaction.driven
+            if previous != driven:  # a non-transition never corrupts
+                seen.setdefault((previous, driven, transaction.direction), index)
         # Increasing by construction (first encounters are in trace
-        # order), which is what lets the block scan retire defects early.
-        self._uniques = uniques
-        self._first_occurrence = first_occurrence
-        self._cycles = cycles
+        # order), so the first corrupted unique is the first corrupted
+        # transaction.
+        self._uniques = list(seen)
+        self._first_occurrence = list(seen.values())
+        self._cycles = [trace[index].cycle for index in self._first_occurrence]
 
     @property
     def unique_transitions(self) -> int:
@@ -408,7 +367,7 @@ class TraceScreen:
     # -- vectorized library screen ------------------------------------------
 
     def screen(self, defects: Iterable[Defect]) -> List[ScreenVerdict]:
-        """Evaluate every defect; one vectorized pass with early exit."""
+        """Evaluate every defect; one table gather for the library."""
         defects = list(defects)
         positions = first_mismatch(
             self._uniques, [driven for _, driven, _ in self._uniques],

@@ -206,22 +206,31 @@ def test_replay_dedup_collapses_defect_classes(
     assert len(resumes) == replayed
 
 
-def test_borderline_dedup_rows_use_the_scalar_kernel(
-    builder, addr_setup, monkeypatch
+def test_couplings_beyond_neighbours_fail_prepare_not_the_oracle(
+    addr_program, addr_setup
 ):
-    """With every comparison borderline, the scalar kernel judges alone."""
-    from repro.obs import runtime as obs_runtime
-    from repro.xtalk import screen as screen_module
+    """The screened engine's tables need nearest-neighbour coupling:
+    prepare names the offending pair, while the exact engine, which
+    stays on the scalar kernel, still judges the defect."""
+    from repro.xtalk.capacitance import CapacitanceSet
+    from repro.xtalk.defects import Defect
 
-    faults = [f for f in builder.address_faults() if f.victim in (0, 7)]
-    program = builder.build_address_bus_program(faults)
-    exact = outcomes(program, addr_setup, "addr", engine="exact")
-    monkeypatch.setattr(screen_module, "EPSILON", 1e9)
-    with obs_runtime.session() as obs:
-        screened = outcomes(program, addr_setup, "addr", engine="screened")
-    assert screened == exact
-    deduped = obs.registry.snapshot().get("coverage.engine.replay_deduped")
-    assert deduped and deduped["value"] > 0
+    nominal = addr_setup.library.nominal
+    coupling = [list(row) for row in nominal.coupling]
+    coupling[3][5] = coupling[5][3] = 2 * nominal.coupling[3][4]
+    far = Defect(
+        index=0,
+        caps=CapacitanceSet(tuple(map(tuple, coupling)), nominal.ground),
+        defective_wires=(),
+        severity=1.0,
+    )
+    params, calibration = addr_setup.params, addr_setup.calibration
+    engine = ScreenedEngine(addr_program, params, calibration, "addr")
+    with pytest.raises(ValueError, match="wires 3 and 5"):
+        engine.prepare([far])
+    exact = ExactEngine(addr_program, params, calibration, "addr")
+    assert exact.check(far) == _stepped_check(exact, far)
+    assert exact.last_model.corruptions > 0
 
 
 def test_snapshot_refuses_mmio():

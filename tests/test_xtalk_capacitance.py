@@ -44,6 +44,42 @@ def test_validation_rejects_nonzero_diagonal():
         CapacitanceSet(coupling=((1.0,),), ground=(1.0,))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "coupling, ground",
+    [
+        (((0.0, NAN), (NAN, 0.0)), (1.0, 1.0)),
+        (((0.0, INF), (INF, 0.0)), (1.0, 1.0)),
+        (((0.0, 1.0), (1.0, 0.0)), (NAN, 1.0)),
+        (((0.0, 1.0), (1.0, 0.0)), (1.0, INF)),
+        (((0.0,),), (NAN,)),
+    ],
+    ids=["nan-coupling", "inf-coupling", "nan-ground", "inf-ground", "one-wire"],
+)
+def test_validation_rejects_non_finite(coupling, ground):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        CapacitanceSet(coupling=coupling, ground=ground)
+
+
+def test_validation_rejects_negative_ground():
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        CapacitanceSet(coupling=((0.0,),), ground=(-1.0,))
+
+
+def test_validation_rejects_empty_set():
+    with pytest.raises(ValueError, match="at least one wire"):
+        CapacitanceSet(coupling=(), ground=())
+
+
+def test_reach_is_the_widest_coupled_distance():
+    assert extract_capacitance(BusGeometry.uniform(6)).reach == 1
+    assert CapacitanceSet(coupling=((0.0,),), ground=(1.0,)).reach == 0
+    far = ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    assert CapacitanceSet(coupling=far, ground=(1.0,) * 3).reach == 2
+
+
 def test_perturbed_scales_symmetrically():
     caps = extract_capacitance(BusGeometry.uniform(3))
     factors = [[1.0, 2.0, 1.0], [2.0, 1.0, 0.5], [1.0, 0.5, 1.0]]

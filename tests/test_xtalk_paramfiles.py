@@ -56,6 +56,29 @@ def test_parse_params_rejects(text):
         parse_params(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vdd": NaN}',
+        '{"r_driver_cpu": Infinity}',
+        '{"r_driver_mem": -Infinity}',
+        '{"glitch_attenuation": 1e400}',  # parses as infinity
+    ],
+)
+def test_parse_params_rejects_non_finite(text):
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_params(text)
+
+
+@pytest.mark.parametrize(
+    "field", ["vdd", "r_driver_cpu", "r_driver_mem", "glitch_attenuation"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_electrical_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ElectricalParams(**{field: value})
+
+
 def test_parse_capacitance_round_trip():
     capacitance = parse_capacitance(json.dumps(CAP_DOC))
     assert isinstance(capacitance, CapacitanceSet)
@@ -71,11 +94,26 @@ def test_parse_capacitance_round_trip():
         {"coupling": [[0.0]]},  # missing ground
         {"coupling": [[0.0]], "ground": [1.0], "extra": 1},  # unknown key
         {"coupling": [[0.0, 1.0], [2.0, 0.0]], "ground": [1.0, 1.0]},  # asym
+        {"coupling": [], "ground": []},  # no wires
     ],
 )
 def test_parse_capacitance_rejects(document):
     with pytest.raises(ValueError):
         parse_capacitance(json.dumps(document))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"coupling": [[0.0, NaN], [NaN, 0.0]], "ground": [1.0, 1.0]}',
+        '{"coupling": [[0.0, 1e400], [1e400, 0.0]], "ground": [1.0, 1.0]}',
+        '{"coupling": [[0.0, 1.0], [1.0, 0.0]], "ground": [NaN, 1.0]}',
+        '{"coupling": [[0.0, 1.0], [1.0, 0.0]], "ground": [1.0, Infinity]}',
+    ],
+)
+def test_parse_capacitance_rejects_non_finite(text):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        parse_capacitance(text)
 
 
 # ---------------------------------------------------------------- load

@@ -1,19 +1,27 @@
-"""TraceScreen: batch vs scalar agreement, first-corruption exactness, dedup."""
+"""TraceScreen and the decision tables: table vs scalar kernel agreement,
+first-corruption exactness, dedup."""
 
+import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.soc.bus import BusDirection
 from repro.xtalk.calibration import calibrate
-from repro.xtalk.capacitance import extract_capacitance
+from repro.xtalk.capacitance import CapacitanceSet, extract_capacitance
 from repro.xtalk.defects import Defect, generate_defect_library
 from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.geometry import BusGeometry
 from repro.xtalk.params import ElectricalParams
 from repro.xtalk.kernel import TransitionKernel
 from repro.core.engine import capture_golden_with_trace
-from repro.xtalk.screen import FIRST_BLOCK, TraceScreen, first_mismatch
+from repro.xtalk.screen import (
+    TraceScreen,
+    decide_many,
+    decision_tables,
+    first_mismatch,
+)
 
 WIDTH = 8
 ONES = (1 << WIDTH) - 1
@@ -67,38 +75,24 @@ def naive_first_corruption(trace, defect, params, calibration):
     return None
 
 
-def _block_of(position):
-    """Index of the screening block holding unique ``position``."""
-    start, size, block = 0, FIRST_BLOCK, 0
-    while position >= start + size:
-        start, size, block = start + size, 2 * size, block + 1
-    return block
-
-
 @pytest.mark.parametrize("bus", ["addr", "data"])
 def test_screen_matches_screen_one_on_program_traces(request, bus):
-    """The block scan retires each defect at its first corrupted unique.
+    """The table screen finds each defect's first corrupted unique.
 
-    Both program traces hold several blocks of unique transitions, and
-    the libraries retire defects in more than one of them, so a defect
-    retired in the wrong block or at the wrong offset shows up as a
-    verdict that differs from the scalar scan.
+    The libraries' first corruptions fall at several trace positions,
+    so a defect judged at the wrong unique shows up as a verdict that
+    differs from the scalar scan.
     """
     name = "address" if bus == "addr" else "data"
     setup = request.getfixturevalue(f"{name}_setup")
     program = request.getfixturevalue(f"{name}_program")
     capture = capture_golden_with_trace(program, bus)
     screen = TraceScreen(capture.trace, setup.params, setup.calibration)
-    assert screen.unique_transitions > 2 * FIRST_BLOCK
     defects = setup.library.defects
     verdicts = screen.screen(defects)
     assert verdicts == [screen.screen_one(defect) for defect in defects]
-    positions = [
-        screen._first_occurrence.index(verdict.first_index)
-        for verdict in verdicts
-        if not verdict.clean
-    ]
-    assert len({_block_of(position) for position in positions}) >= 2
+    firsts = {verdict.first_index for verdict in verdicts if not verdict.clean}
+    assert len(firsts) >= 2
 
 
 @pytest.mark.parametrize("path", ["screen", "screen_one"])
@@ -171,12 +165,11 @@ def recorded_decisions(trace, defect, params, calibration):
 
 
 def test_first_mismatch_matches_scalar_kernel(setup, trace):
-    """The block scan finds each defect's first disagreement with a
+    """The table scan finds each defect's first disagreement with a
     recorded decision map, as a per-entry scalar comparison does."""
     _, params, calibration, library = setup
     recorder = library.defects[0]
     decisions = recorded_decisions(trace, recorder, params, calibration)
-    assert len(decisions) > 2 * FIRST_BLOCK, "map must span several blocks"
     transitions = [t for t, _ in decisions]
     targets = [r for _, r in decisions]
     positions = first_mismatch(
@@ -194,27 +187,16 @@ def test_first_mismatch_matches_scalar_kernel(setup, trace):
             -1,
         )
         assert position == scalar, defect.index
-    retired = {_block_of(position) for position in positions if position >= 0}
-    assert len(retired) > 1, "defects must retire in several blocks"
+    assert len({position for position in positions if position >= 0}) > 1
     # The recording defect agrees with its own recorded decisions.
     assert first_mismatch(
         transitions, targets, [recorder], params, calibration
     ) == [-1]
 
 
-@pytest.mark.parametrize(
-    "knob, value",
-    [(None, None), ("EPSILON", 1e9), ("MAX_BLOCK_ELEMENTS", 64)],
-    ids=["vector", "all-borderline", "many-blocks"],
-)
-def test_batch_model_matches_scalar_model(setup, trace, knob, value, monkeypatch):
+def test_batch_model_matches_scalar_model(setup, trace):
     """corrupt_many + consume give the words and tallies of one corrupt
-    call per transition: borderline rows, block edges and no-transition
-    words included."""
-    from repro.xtalk import screen as screen_module
-
-    if knob is not None:
-        monkeypatch.setattr(screen_module, knob, value)
+    call per transition, no-transition words included."""
     _, params, calibration, library = setup
     transitions = [(t.previous, t.driven, t.direction) for t in trace]
     totals = {"corruptions": 0, "glitch_errors": 0, "delay_errors": 0}
@@ -230,3 +212,186 @@ def test_batch_model_matches_scalar_model(setup, trace, knob, value, monkeypatch
         for name in totals:
             totals[name] += scalar.stats()[name]
     assert all(totals.values()), totals
+
+
+# -- decision tables against the scalar kernel ---------------------------------
+
+DIRECTIONS = (BusDirection.CPU_TO_MEM, BusDirection.MEM_TO_CPU)
+
+
+@st.composite
+def nearest_neighbour_libraries(draw):
+    """A 2-12 wire bus with nearest-neighbour coupling, its nominal
+    calibration, and 1-3 defects with random couplings (zero included,
+    so some wires lack a neighbour) and ground capacitances."""
+    width = draw(st.integers(2, 12))
+    nominal = extract_capacitance(BusGeometry.uniform(width))
+    params = ElectricalParams(
+        r_driver_cpu=draw(st.floats(500.0, 1500.0)),
+        r_driver_mem=draw(st.floats(500.0, 1500.0)),
+    )
+    calibration = calibrate(nominal, params)
+    gap = nominal.coupling[0][1]
+    factors = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+    defects = []
+    for index in range(draw(st.integers(1, 3))):
+        coupling = [[0.0] * width for _ in range(width)]
+        for i in range(width - 1):
+            value = gap * draw(factors)
+            coupling[i][i + 1] = coupling[i + 1][i] = value
+        ground = tuple(
+            nominal.ground[i] * draw(st.floats(0.25, 2.0)) for i in range(width)
+        )
+        caps = CapacitanceSet(tuple(map(tuple, coupling)), ground)
+        defects.append(Defect(index, caps, defective_wires=(), severity=1.0))
+    return params, calibration, defects
+
+
+def transition_showing(window, wire, width, rng):
+    """Random ``(previous, driven)`` words whose bits at wires
+    ``wire - 1 .. wire + 1`` are the 6-bit ``window``; ``None`` when
+    the window sets a bit beyond an edge wire."""
+    mask = (1 << width) - 1
+    before = (window >> 3) << wire >> 1
+    after = (window & 7) << wire >> 1
+    edges = (window >> 3, window & 7)
+    if (wire == 0 and any(w & 1 for w in edges)) or (
+        wire == width - 1 and any(w & 4 for w in edges)
+    ):
+        return None
+    keep = mask & ~(7 << wire >> 1)
+    previous = (rng.getrandbits(width) & keep) | before
+    driven = (rng.getrandbits(width) & keep) | after
+    return previous, driven
+
+
+@settings(
+    max_examples=25, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(library=nearest_neighbour_libraries(), seed=st.integers(0, 2**32 - 1))
+def test_decision_table_matches_kernel_at_every_window(library, seed):
+    """Every (direction, wire, window) entry is the kernel's decision on
+    a transition that shows that window, edge wires included."""
+    params, calibration, defects = library
+    rng = random.Random(seed)
+    table, rows = decision_tables([d.caps for d in defects], params, calibration)
+    for defect, row in zip(defects, rows):
+        width = defect.caps.wire_count
+        flips = table[row].reshape(2, width, 64)
+        decide = TransitionKernel(defect.caps, params, calibration).decide
+        for d, direction in enumerate(DIRECTIONS):
+            for wire in range(width):
+                for window in range(64):
+                    words = transition_showing(window, wire, width, rng)
+                    if words is None:
+                        continue
+                    previous, driven = words
+                    received = decide(previous, driven, direction)[0]
+                    if previous == driven:
+                        # Nothing moves anywhere: received as driven,
+                        # and a quiet window never flips.
+                        assert not flips[d, wire, window]
+                        continue
+                    flipped = bool((received ^ driven) >> wire & 1)
+                    assert flips[d, wire, window] == flipped
+
+
+def scalar_first_mismatch(transitions, targets, kernel):
+    for position, (transition, target) in enumerate(zip(transitions, targets)):
+        if kernel.decide(*transition)[0] != target:
+            return position
+    return -1
+
+
+@settings(
+    max_examples=25, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(library=nearest_neighbour_libraries(), data=st.data())
+def test_first_mismatch_and_decide_many_match_a_scalar_loop(library, data):
+    """Random transition lists and targets: one recorder's received
+    words with random wires flipped at random positions."""
+    params, calibration, defects = library
+    width = defects[0].caps.wire_count
+    mask = (1 << width) - 1
+    transitions = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, mask), st.integers(0, mask),
+                st.sampled_from(DIRECTIONS),
+            ),
+            max_size=400,
+        )
+    )
+    kernels = [TransitionKernel(d.caps, params, calibration) for d in defects]
+    for defect, kernel in zip(defects, kernels):
+        assert decide_many(
+            transitions, kernel, defect.caps, params, calibration
+        ) == [kernel.decide(*transition)[0] for transition in transitions]
+    recorder = data.draw(st.sampled_from(kernels))
+    targets = [recorder.decide(*transition)[0] for transition in transitions]
+    if transitions:
+        for position, flips in data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(transitions) - 1),
+                          st.integers(1, mask)),
+                max_size=3,
+            )
+        ):
+            targets[position] ^= flips
+    assert first_mismatch(
+        transitions, targets, defects, params, calibration
+    ) == [scalar_first_mismatch(transitions, targets, k) for k in kernels]
+
+
+def test_long_lists_match_a_scalar_loop(address_setup):
+    """3 000 transitions on the 12-wire bus, more than one pass of the
+    earlier block scan held, with targets that first differ late."""
+    rng = random.Random(2001)
+    params, calibration = address_setup.params, address_setup.calibration
+    defects = address_setup.library.defects[:8]
+    transitions = [
+        (rng.getrandbits(12), rng.getrandbits(12), rng.choice(DIRECTIONS))
+        for _ in range(3000)
+    ]
+    kernels = [TransitionKernel(d.caps, params, calibration) for d in defects]
+    targets = [kernels[0].decide(*transition)[0] for transition in transitions]
+    targets[2900] ^= 1 << 5
+    expected = [scalar_first_mismatch(transitions, targets, k) for k in kernels]
+    assert expected[0] == 2900
+    assert first_mismatch(
+        transitions, targets, defects, params, calibration
+    ) == expected
+    assert decide_many(
+        transitions, kernels[3], defects[3].caps, params, calibration
+    ) == [kernels[3].decide(*transition)[0] for transition in transitions]
+
+
+def test_library_rows_share_one_table(setup):
+    """A subset of a built library gathers from the library's table."""
+    _, params, calibration, library = setup
+    caps = [defect.caps for defect in library.defects]
+    table, rows = decision_tables(caps, params, calibration)
+    assert table.shape == (len(caps), 2 * WIDTH * 64)
+    subset, subset_rows = decision_tables(caps[5:9], params, calibration)
+    assert subset is table
+    assert subset_rows.tolist() == rows[5:9].tolist()
+
+
+def test_tables_reject_couplings_beyond_neighbours(setup, trace):
+    _, params, calibration, _ = setup
+    nominal = extract_capacitance(BusGeometry.uniform(WIDTH))
+    coupling = [list(row) for row in nominal.coupling]
+    coupling[2][4] = coupling[4][2] = 1.0
+    caps = CapacitanceSet(tuple(map(tuple, coupling)), nominal.ground)
+    assert caps.reach == 2
+    far = Defect(index=0, caps=caps, defective_wires=(), severity=1.0)
+    transitions = [(t.previous, t.driven, t.direction) for t in trace]
+    with pytest.raises(ValueError, match="wires 2 and 4"):
+        first_mismatch(
+            transitions, [t[1] for t in transitions], [far], params, calibration
+        )
+    kernel = TransitionKernel(caps, params, calibration)
+    with pytest.raises(ValueError, match="wires 2 and 4"):
+        decide_many(transitions, kernel, caps, params, calibration)
