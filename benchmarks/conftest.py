@@ -101,27 +101,6 @@ def emit_records(title: str, records: Iterable[ExperimentRecord]) -> None:
         _current_report.add_records(records)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def bench_golden_cache(tmp_path_factory):
-    """Point the golden-run artifact cache at a per-session directory.
-
-    Benchmarks measure cold-vs-warm behaviour themselves
-    (``bench_golden_cache.py``); an ambient developer cache would turn
-    intended cold runs warm and skew every timing.
-    """
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(
-        tmp_path_factory.mktemp("golden-cache")
-    )
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = previous
-
-
 @pytest.fixture(autouse=True)
 def bench_report(request):
     """Observe each benchmark and write its RunReport JSON.

@@ -158,8 +158,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         engine=args.engine,
         label=f"simulate:{args.bus}",
     )
-    # A metrics session makes the golden-cache behavior observable in
-    # the output: warm runs report hits >= 1 and golden_cycles == 0.
+    # A metrics session makes the golden and fast-forwarded cycle
+    # counts observable in the output.
     with obs_runtime.session(detail="metrics") as obs_session:
         try:
             result = run_campaign(
@@ -173,10 +173,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"simulate: {error}", file=sys.stderr)
             return 2
         metrics = obs_session.registry.snapshot()
-    cache_stats = {
-        name: _counter_value(metrics, f"coverage.engine.golden_cache.{name}")
-        for name in ("hits", "misses", "stores", "corrupt_evicted")
-    }
     golden_cycles = _counter_value(metrics, "coverage.engine.golden_cycles")
     fast_forwarded = _counter_value(metrics, "cpu.cycles_fast_forwarded")
     total = len(result.outcomes)
@@ -193,7 +189,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "coverage": result.coverage(),
                 "executed": result.executed,
                 "resumed": result.resumed,
-                "golden_cache": cache_stats,
                 "golden_cycles": golden_cycles,
                 "cycles_fast_forwarded": fast_forwarded,
             },
@@ -210,8 +205,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("detected", f"{detected} ({100 * detected / total:.1f}%)"),
         ("of which hung the CPU", str(result.timeouts)),
         ("golden cycles simulated", str(golden_cycles)),
-        ("golden cache hits/misses",
-         f"{cache_stats['hits']} / {cache_stats['misses']}"),
     ]
     print(format_table(("quantity", "value"), rows,
                        title=f"defect simulation on bus: {args.bus}"))

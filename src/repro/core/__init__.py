@@ -16,8 +16,6 @@ programs for the PARWAN-class CPU-memory system:
 * :mod:`repro.core.signature` — golden responses, detection checks and
   the golden-run cycle budget;
 * :mod:`repro.core.engine` — the exact and screened simulation engines;
-* :mod:`repro.core.cache` — the screened engine's on-disk golden-run
-  artifact cache;
 * :mod:`repro.core.campaign` — campaign orchestration: picklable specs,
   :func:`run_campaign` (serial or process pool), resumable JSONL
   outcome journals;
@@ -47,13 +45,6 @@ from repro.core.engine import (
     ScreenedEngine,
     SimulationEngine,
     capture_golden_with_trace,
-)
-from repro.core.cache import (
-    CachedCampaign,
-    CacheError,
-    GoldenRunCache,
-    cache_root,
-    default_cache,
 )
 from repro.core.campaign import (
     CampaignJournal,
@@ -89,11 +80,6 @@ __all__ = [
     "ScreenedEngine",
     "SimulationEngine",
     "capture_golden_with_trace",
-    "CachedCampaign",
-    "CacheError",
-    "GoldenRunCache",
-    "cache_root",
-    "default_cache",
     "CampaignJournal",
     "CampaignResult",
     "CampaignSpec",

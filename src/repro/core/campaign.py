@@ -63,7 +63,6 @@ from typing import (
     Union,
 )
 
-from repro.core import cache as golden_cache
 from repro.core.engine import ExactEngine, ScreenedEngine, SimulationEngine
 from repro.core.program_builder import SelfTestProgram
 from repro.obs import runtime as obs_runtime
@@ -175,30 +174,6 @@ def _json(value: object) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=1)
-def _prefix_digest(calibration_json: str, defects: Tuple[Defect, ...]):
-    """A sha256 state fed with ``{"calibration":…,"defects":[…]``.
-
-    A sweep digests one library once per program, and the library's
-    capacitance matrices are nearly all of the bytes, so the state of
-    the last call is kept (never the JSON text).  The key is the
-    defects' *value*, so a list and a tuple of equal defects hit alike:
-    equal defects have equal capacitance floats, hence equal JSON.
-    Callers must ``copy()`` the state before feeding it more.
-    """
-    digest = hashlib.sha256()
-    digest.update(f'{{"calibration":{calibration_json},"defects":'.encode())
-    digest.update(
-        _json(
-            [
-                [defect.index, defect.caps.ground, defect.caps.coupling]
-                for defect in defects
-            ]
-        ).encode()
-    )
-    return digest
-
-
 def config_digest(
     params: ElectricalParams,
     calibration: Calibration,
@@ -209,15 +184,20 @@ def config_digest(
 
     The bytes hashed are ``json.dumps(payload, sort_keys=True,
     separators=(",", ":"))`` of ``{"params", "calibration", "defects",
-    "extra"}``, fed in key order so the library part is digested once
-    per process (:func:`_prefix_digest`).
+    "extra"}``.
 
     Engine selection is deliberately *excluded*:
     engines are outcome-identical, so a journal written with the exact
     engine may be resumed with the screened one (and vice versa).
     """
-    calibration_json = _json(
-        {
+    payload = {
+        "params": [
+            params.vdd,
+            params.r_driver_cpu,
+            params.r_driver_mem,
+            params.glitch_attenuation,
+        ],
+        "calibration": {
             "cth": calibration.cth,
             "v_th": calibration.v_th,
             "t_margin": sorted(
@@ -225,20 +205,14 @@ def config_digest(
                 for direction, margin in calibration.t_margin.items()
             ),
             "safety_factor": calibration.safety_factor,
-        }
-    )
-    digest = _prefix_digest(calibration_json, tuple(defects)).copy()
-    params_json = _json(
-        [
-            params.vdd,
-            params.r_driver_cpu,
-            params.r_driver_mem,
-            params.glitch_attenuation,
-        ]
-    )
-    suffix = f',"extra":{_json(dict(extra))},"params":{params_json}}}'
-    digest.update(suffix.encode())
-    return digest.hexdigest()
+        },
+        "defects": [
+            [defect.index, defect.caps.ground, defect.caps.coupling]
+            for defect in defects
+        ],
+        "extra": dict(extra),
+    }
+    return hashlib.sha256(_json(payload).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -248,10 +222,10 @@ class CampaignSpec:
     A spec is pure picklable data: the program image, the electrical
     and threshold configuration, the defect slice, and the engine
     selection.  It references no live system, bus, hook, tracer, or
-    open file — workers rebuild all of that with
-    :meth:`build_engine`, whose screened engine comes from the golden-run
-    artifact cache (:mod:`repro.core.cache`): the golden capture and the
-    screen run once per fingerprint, not once per worker/resume/invocation.
+    open file — workers rebuild all of that with :meth:`build_engine`,
+    which captures the golden run and screens the slice in memory (a
+    few milliseconds), so a campaign keeps no on-disk state besides an
+    explicit journal.
     """
 
     program: SelfTestProgram
@@ -271,42 +245,19 @@ class CampaignSpec:
     def build_engine(self) -> SimulationEngine:
         """Rebuild the simulation engine this spec describes.
 
-        This is the factory workers call after unpickling a spec.  The
-        exact engine simulates its own golden run and does no cache I/O.
-        The screened engine loads its golden capture and screen verdicts
-        from the content-addressed artifact cache; a warm entry means
-        *zero* golden simulation and no screen.  Every screened build
-        prepares the engine with the spec's defects, so replay dedup
-        knows the whole library, warm or cold.  When the entry is
-        missing, or its verdicts do not cover every defect of the spec,
-        the build captures the golden run (entry missing only), screens
-        the whole library once and stores one complete entry.  Cache
-        failures degrade to a plain rebuild: the cache can cost time,
-        never correctness.
+        This is the factory workers call after unpickling a spec.  Both
+        engines simulate their own golden run.  The screened engine is
+        prepared with the spec's defects, so replay dedup knows the
+        whole slice.
         """
         if self.engine == "exact":
             return ExactEngine(
                 self.program, self.params, self.calibration, self.bus
             )
-        store = golden_cache.default_cache()
-        fingerprint = self.fingerprint()
-        entry = store.load(fingerprint)
         engine = ScreenedEngine(
-            self.program, self.params, self.calibration, self.bus,
-            capture=entry.capture if entry else None,
-            verdicts=entry.verdicts if entry else None,
-        )
-        complete = entry is not None and all(
-            defect.index in entry.verdicts for defect in self.defects
+            self.program, self.params, self.calibration, self.bus
         )
         engine.prepare(self.defects)
-        if not complete:
-            try:
-                store.store(
-                    fingerprint, self.bus, engine.capture, engine.verdicts
-                )
-            except (golden_cache.CacheError, OSError) as error:
-                logger.warning("golden cache store failed: %s", error)
         return engine
 
     def fingerprint(self) -> str:
@@ -595,7 +546,7 @@ def _init_worker(spec: CampaignSpec, collect_metrics: bool) -> None:
     would silently discard metrics.  Workers that should report roll
     up through their own session in :func:`_run_shard` instead; the
     engine build runs under its own session here so startup metrics
-    (golden-cache hits, golden cycles) survive into the worker's first
+    (golden cycles) survive into the worker's first
     shard rollup rather than vanishing with the fork.
     """
     global _WORKER_SPEC, _WORKER_ENGINE, _WORKER_COLLECT

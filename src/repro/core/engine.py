@@ -72,9 +72,8 @@ from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
 from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.params import ElectricalParams
-from repro.xtalk.screen import (
-    ScreenVerdict, TraceScreen, decision_tables, first_mismatch,
-)
+from repro.xtalk.screen import ScreenVerdict, TraceScreen, first_mismatch
+
 
 def _bus_of(system: CpuMemorySystem, bus: str) -> Bus:
     return system.address_bus if bus == "addr" else system.data_bus
@@ -89,11 +88,7 @@ class GoldenCapture:
 
 
 def _count_golden_cycles(cycles: int) -> None:
-    """Tally fault-free simulation work (``coverage.engine.golden_cycles``).
-
-    Warm-cache engine builds skip golden simulation entirely, which is
-    exactly what this counter staying at zero proves.
-    """
+    """Tally fault-free simulation work (``coverage.engine.golden_cycles``)."""
     obs_runtime.registry().counter("coverage.engine.golden_cycles").inc(cycles)
 
 
@@ -156,8 +151,8 @@ class SimulationEngine:
 class ExactEngine(SimulationEngine):
     """One full replay per defect (the original simulator behavior).
 
-    It simulates its own golden run and touches no cache, so the oracle
-    depends on nothing the screened path wrote.
+    It simulates its own golden run, so the oracle shares no state with
+    the screened path.
     """
 
     name = "exact"
@@ -239,16 +234,8 @@ class _RecordingHook:
 class ScreenedEngine(SimulationEngine):
     """Screen the library against the golden trace; replay only divergers.
 
-    Parameters
-    ----------
-    capture / verdicts:
-        Golden artifacts (e.g. from :mod:`repro.core.cache`, or a
-        :func:`capture_golden_with_trace`).  With a ``capture`` the
-        engine does zero golden simulation; ``verdicts`` preloads
-        screening results keyed by defect index, so already-screened
-        defects skip the screen too.
-        :attr:`verdicts` holds every verdict known so far.
-
+    The engine captures its golden run and trace when it is built.
+    :attr:`verdicts` maps every defect screened so far to its verdict.
     The engine learns its library from :meth:`prepare`; only prepared
     defects are deduplicated against a replay of their group.
     """
@@ -261,23 +248,19 @@ class ScreenedEngine(SimulationEngine):
         params: ElectricalParams,
         calibration: Calibration,
         bus: str,
-        capture: Optional[GoldenCapture] = None,
-        verdicts: Optional[Dict[int, ScreenVerdict]] = None,
     ):
         self.program = program
         self.params = params
         self.calibration = calibration
         self.bus = bus
         self._base_image = build_base_image(program)
-        if capture is None:
-            capture = capture_golden_with_trace(
-                program, bus, base_image=self._base_image
-            )
-        self.capture = capture
+        capture = capture_golden_with_trace(
+            program, bus, base_image=self._base_image
+        )
         self.golden = capture.golden
         self.screen = TraceScreen(capture.trace, params, calibration)
         self._scratch = make_system(program, self._base_image)
-        self.verdicts: Dict[int, ScreenVerdict] = dict(verdicts or {})
+        self.verdicts: Dict[int, ScreenVerdict] = {}
         # first corrupted trace index -> prepared defects of that group
         # not judged yet, by defect index, in library order.
         self._pending: Dict[int, Dict[int, Defect]] = {}
@@ -296,15 +279,11 @@ class ScreenedEngine(SimulationEngine):
         that couples wires that are not neighbours (the decision tables
         cannot describe it; :class:`ExactEngine` can)."""
         defects = list(defects)
-        if defects:  # one table for the library, warm or cold
-            caps = [defect.caps for defect in defects]
-            decision_tables(caps, self.params, self.calibration)
         missing = [
             defect for defect in defects if defect.index not in self.verdicts
         ]
-        if missing:  # a complete cache entry leaves nothing to screen
-            for defect, verdict in zip(missing, self.screen.screen(missing)):
-                self.verdicts[defect.index] = verdict
+        for defect, verdict in zip(missing, self.screen.screen(missing)):
+            self.verdicts[defect.index] = verdict
         for defect in defects:
             verdict = self.verdicts[defect.index]
             if not verdict.clean and defect.index not in self._deduped:

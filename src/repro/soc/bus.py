@@ -40,6 +40,10 @@ class TransactionKind(enum.Enum):
     OPERAND_WRITE = "operand_write"
     POINTER_READ = "pointer_read"
 
+    # As for BusDirection: transfer() bumps a per-kind count on every
+    # bus word, keyed by member.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class BusTransaction:
@@ -143,11 +147,8 @@ class Bus:
         self._observers: List[Callable[[BusTransaction], None]] = []
         self._transaction_count = 0
         self._corrupted_count = 0
-        # Keyed by TransactionKind.value: string keys have a C-level
-        # cached hash, unlike enum members whose __hash__ is a Python
-        # call — and transfer() bumps this on every bus word.
-        self._kind_counts: Dict[str, int] = {
-            kind.value: 0 for kind in TransactionKind
+        self._kind_counts: Dict[TransactionKind, int] = {
+            kind: 0 for kind in TransactionKind
         }
 
     @property
@@ -176,7 +177,7 @@ class Bus:
         return BusStats(
             transactions=self._transaction_count,
             corrupted=self._corrupted_count,
-            by_kind={kind: self._kind_counts[kind.value] for kind in TransactionKind},
+            by_kind=dict(self._kind_counts),
         )
 
     def reset(self, value: int = 0) -> None:
@@ -191,9 +192,7 @@ class Bus:
             value=self._value,
             transactions=self._transaction_count,
             corrupted=self._corrupted_count,
-            by_kind=tuple(
-                (kind, self._kind_counts[kind.value]) for kind in TransactionKind
-            ),
+            by_kind=tuple(self._kind_counts.items()),
         )
 
     def account(
@@ -211,7 +210,7 @@ class Bus:
         self._value = held
         for kind, count in kinds.items():
             self._transaction_count += count
-            self._kind_counts[kind._value_] += count
+            self._kind_counts[kind] += count
         self._corrupted_count += corrupted
 
     def transfer(
@@ -236,9 +235,7 @@ class Bus:
             received = self._corruption_hook(previous, value, direction) & self._mask
         self._value = value
         self._transaction_count += 1
-        # _value_ is the enum member's plain instance attribute; going
-        # through the .value descriptor costs a Python-level call here.
-        self._kind_counts[kind._value_] += 1
+        self._kind_counts[kind] += 1
         if received != value:
             self._corrupted_count += 1
         observers = self._observers

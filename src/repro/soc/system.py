@@ -466,7 +466,7 @@ class CpuMemorySystem(BusPort):
             )
             for kind, count in bus._kind_counts.items():
                 if count != kinds[kind]:
-                    registry.counter(f"bus.{name}.kind.{kind}").inc(
+                    registry.counter(f"bus.{name}.kind.{kind.value}").inc(
                         count - kinds[kind]
                     )
         for state, count in occupancy.items():

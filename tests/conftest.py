@@ -15,33 +15,6 @@ from repro import (
 )
 
 
-@pytest.fixture(autouse=True, scope="session")
-def session_golden_cache(tmp_path_factory):
-    """Give module- and session-scoped fixtures a golden-run cache too.
-
-    They are set up before the per-test override below, so without
-    this their campaigns would write ``.repro-cache`` into the working
-    directory.
-    """
-    patch = pytest.MonkeyPatch()
-    patch.setenv(
-        "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("session-golden-cache"))
-    )
-    yield
-    patch.undo()
-
-
-@pytest.fixture(autouse=True)
-def isolated_golden_cache(tmp_path, monkeypatch):
-    """Point the golden-run artifact cache at a per-test directory.
-
-    Keeps tests hermetic: no test sees entries (or cache-counter
-    effects) created by another test or by a developer's ambient
-    ``.repro-cache``.
-    """
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "golden-cache"))
-
-
 @pytest.fixture(scope="session")
 def address_setup():
     """Address-bus setup with a small (fast) defect library."""

@@ -51,15 +51,12 @@ def test_simulate_workers_match_serial(capsys):
             "--workers", workers, "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        # Worker and work-telemetry fields legitimately differ (the
-        # second run is warm, and each worker replays its own shard's
-        # groups); everything the campaign *computed* must not.
+        # Worker and work-telemetry fields legitimately differ (each
+        # worker captures its own golden run and replays its own
+        # shard's groups); everything the campaign *computed* must not.
         outputs[workers] = {
             key: value for key, value in payload.items()
-            if key not in (
-                "workers", "golden_cache", "golden_cycles",
-                "cycles_fast_forwarded",
-            )
+            if key not in ("workers", "golden_cycles", "cycles_fast_forwarded")
         }
     assert outputs["1"] == outputs["2"]
 

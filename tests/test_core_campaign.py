@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
 
 import pytest
@@ -162,9 +163,8 @@ def _reference_digest(params, calibration, defects, extra):
 
 @pytest.mark.parametrize("bus", ["addr", "data"])
 def test_config_digest_bytes_are_one_json_dump(bus):
-    """The library prefix is digested once per process, but the digest
-    is still sha256 of the canonical JSON: cache keys and journals from
-    before the memo keep matching."""
+    """The digest is sha256 of the canonical JSON, so journals written
+    by earlier versions keep their fingerprints."""
     from repro import default_address_bus_setup, default_data_bus_setup
 
     setup = (
@@ -211,6 +211,17 @@ class TestBackends:
             result = run_campaign(empty, workers=workers)
             assert result.outcomes == []
             assert result.executed == 0
+
+    def test_campaign_leaves_no_files_behind(
+        self, spec, serial_outcomes, tmp_path, monkeypatch
+    ):
+        """Without a journal a campaign keeps all its state in memory:
+        it writes nothing into the working directory."""
+        for name in [name for name in os.environ if name.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        monkeypatch.chdir(tmp_path)
+        assert run_campaign(spec).outcomes == serial_outcomes
+        assert list(tmp_path.iterdir()) == []
 
     def test_worker_initializer_drops_inherited_obs_session(self, spec):
         """A forked worker must not report into the parent's registry."""
