@@ -48,18 +48,6 @@ from repro.analysis.records import ExperimentRecord, format_records
 
 DEFECT_COUNT = int(os.environ.get("REPRO_BENCH_DEFECTS", "1000"))
 REPORT_DIR = Path(os.environ.get("REPRO_BENCH_REPORT_DIR", "."))
-# Worker counts the parallel-campaign benchmark sweeps (comma-separated;
-# the CI parallel-smoke job sets "2" to keep the quick run to one pool).
-WORKER_COUNTS = tuple(
-    int(token)
-    for token in os.environ.get("REPRO_BENCH_WORKERS", "1,2,4").split(",")
-    if token.strip()
-)
-if not WORKER_COUNTS or any(count < 1 for count in WORKER_COUNTS):
-    raise ValueError(
-        "REPRO_BENCH_WORKERS must be a comma-separated list of "
-        f"positive worker counts, got {os.environ['REPRO_BENCH_WORKERS']!r}"
-    )
 
 logger = logging.getLogger("repro.bench")
 

@@ -40,8 +40,7 @@ def _stderr_progress(label: str, every: int = 100) -> Callable[[int, int, int], 
 
     stdout is reserved for the command's machine-parseable output
     (``--json``, tables, charts); progress must never interleave with
-    it — especially under parallel runs, where shard completions arrive
-    at arbitrary times.
+    it.
     """
     state = {"last": 0}
 
@@ -54,19 +53,6 @@ def _stderr_progress(label: str, every: int = 100) -> Callable[[int, int, int], 
             )
 
     return progress
-
-
-def _worker_count(text: str) -> int:
-    """``--workers`` value: an integer of at least 1 (else exit 2)."""
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
 
 
 def _build_program(bus: str, builder: Optional[SelfTestProgramBuilder] = None):
@@ -164,7 +150,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         try:
             result = run_campaign(
                 spec,
-                workers=args.workers,
                 journal=args.journal,
                 resume=args.resume,
                 progress=_stderr_progress(f"simulate[{args.bus}]"),
@@ -182,7 +167,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             {
                 "bus": args.bus,
                 "engine": args.engine,
-                "workers": result.workers,
                 "defects": total,
                 "detected": detected,
                 "timeouts": result.timeouts,
@@ -199,7 +183,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     rows = [
         ("engine", args.engine),
-        ("workers", str(result.workers)),
         ("defects simulated", str(total)),
         ("resumed from journal", str(result.resumed)),
         ("detected", f"{detected} ({100 * detected / total:.1f}%)"),
@@ -221,7 +204,7 @@ def cmd_fig11(args: argparse.Namespace) -> int:
         report = address_bus_line_coverage(
             setup.library, setup.params, setup.calibration,
             builder=builder, full_program=program, engine=args.engine,
-            workers=args.workers, journal=args.journal, resume=args.resume,
+            journal=args.journal, resume=args.resume,
             progress=_stderr_progress("fig11"),
         )
     except JournalError as error:
@@ -269,7 +252,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "detail": args.detail,
         "engine": args.engine,
-        "workers": args.workers,
     }
     results: dict = {}
     with obs.session(detail=args.detail) as obs_session:
@@ -301,7 +283,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 report = address_bus_line_coverage(
                     setup.library, setup.params, setup.calibration,
                     builder=builder, full_program=program,
-                    engine=args.engine, workers=args.workers,
+                    engine=args.engine,
                 )
                 results["coverage"] = {
                     "cumulative": report.cumulative_coverage,
@@ -329,7 +311,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                     engine=args.engine,
                     label="profile:examples",
                 )
-                result = run_campaign(spec, workers=args.workers)
+                result = run_campaign(spec)
                 results["coverage"] = {
                     "defects": len(result.outcomes),
                     "detected": result.detected,
@@ -401,11 +383,6 @@ def make_parser() -> argparse.ArgumentParser:
         "every defect in full (identical outcomes, several times slower)"
     )
 
-    workers_help = (
-        "campaign worker processes (1 = in-process serial; above 1 the "
-        "defects are sharded over a process pool with bit-identical "
-        "results)"
-    )
     journal_help = (
         "JSONL outcome journal: every judged defect is appended and "
         "flushed, so an interrupted campaign can be resumed"
@@ -422,8 +399,6 @@ def make_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=2001)
     simulate.add_argument("--engine", choices=("exact", "screened"),
                           default="screened", help=engine_help)
-    simulate.add_argument("--workers", type=_worker_count, default=1,
-                          help=workers_help)
     simulate.add_argument("--journal", metavar="PATH", help=journal_help)
     simulate.add_argument("--resume", action="store_true", help=resume_help)
     simulate.add_argument("--json", action="store_true",
@@ -436,8 +411,6 @@ def make_parser() -> argparse.ArgumentParser:
     fig11.add_argument("--seed", type=int, default=2001)
     fig11.add_argument("--engine", choices=("exact", "screened"),
                        default="screened", help=engine_help)
-    fig11.add_argument("--workers", type=_worker_count, default=1,
-                       help=workers_help)
     fig11.add_argument("--journal", metavar="PATH", help=journal_help)
     fig11.add_argument("--resume", action="store_true", help=resume_help)
     fig11.set_defaults(func=cmd_fig11)
@@ -460,9 +433,6 @@ def make_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=2001)
     profile.add_argument("--engine", choices=("exact", "screened"),
                          default="screened", help=engine_help)
-    profile.add_argument("--workers", type=_worker_count, default=1,
-                         help=workers_help + "; worker metrics are rolled "
-                         "up into the single RunReport")
     profile.add_argument("--detail", choices=("metrics", "full"),
                          default="full",
                          help="telemetry depth (full adds FSM occupancy "

@@ -16,9 +16,8 @@ programs for the PARWAN-class CPU-memory system:
 * :mod:`repro.core.signature` — golden responses, detection checks and
   the golden-run cycle budget;
 * :mod:`repro.core.engine` — the exact and screened simulation engines;
-* :mod:`repro.core.campaign` — campaign orchestration: picklable specs,
-  :func:`run_campaign` (serial or process pool), resumable JSONL
-  outcome journals;
+* :mod:`repro.core.campaign` — campaign orchestration: specs,
+  :func:`run_campaign`, resumable JSONL outcome journals;
 * :mod:`repro.core.coverage` — the Fig. 11 per-line coverage report on
   top of the campaign layer.
 """

@@ -6,37 +6,29 @@ aggregated afterwards.  This module is the orchestration layer those
 campaigns run on:
 
 :class:`CampaignSpec`
-    A picklable, engine-agnostic description of one campaign: the
-    program image, the electrical/threshold configuration, the defect
-    slice, and the engine selection.  A spec is pure data — workers
-    rebuild all live state (golden capture, screens, scratch systems)
-    from it via :meth:`CampaignSpec.build_engine`, the one place an
-    engine is built from a campaign's inputs, so nothing with an open
-    handle or an installed bus hook ever crosses a process boundary.
+    An engine-agnostic description of one campaign: the program image,
+    the electrical/threshold configuration, the defect slice, and the
+    engine selection.  A spec is pure data with two jobs: its
+    :meth:`~CampaignSpec.fingerprint` names the campaign a journal
+    belongs to, and :meth:`~CampaignSpec.build_engine` is the one place
+    an engine (golden capture, screens, scratch systems) is built from a
+    campaign's inputs.
 
 :func:`run_campaign`
     The one way to run a campaign.  It loads the journal, judges only
-    the defects not already journaled — in this process at
-    ``workers == 1``, else sharded round-robin over a
-    :class:`~concurrent.futures.ProcessPoolExecutor` — and returns a
-    :class:`CampaignResult` whose outcome list is bit-identical to an
-    uninterrupted serial run.  Every defect is judged by an engine
-    built from the same spec, and engines are themselves
+    the defects not already journaled on one engine in this process,
+    and returns a :class:`CampaignResult` whose outcome list is
+    bit-identical to an uninterrupted run.  Engines are themselves
     outcome-identical (see :mod:`repro.core.engine`).
 
 :class:`CampaignJournal`
     A durable JSONL outcome journal.  Each judged defect is appended
     and flushed immediately, so a crash or Ctrl-C loses at most the
-    in-flight shard; resuming with the same spec skips every journaled
+    in-flight defect; resuming with the same spec skips every journaled
     defect.  The file is self-identifying (a header line carries a
     fingerprint of the campaign configuration) and tolerates a
     truncated or corrupt *trailing* line — the signature of a write cut
     short — by repairing the file before appending.
-
-Observability: workers run under their own metrics-only session when
-the parent has one, and each finished shard's snapshot is rolled up
-into the parent registry (:func:`repro.obs.metrics.merge_snapshot`), so
-one RunReport describes the whole parallel campaign.
 """
 
 from __future__ import annotations
@@ -46,7 +38,6 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -66,7 +57,6 @@ from typing import (
 from repro.core.engine import ExactEngine, ScreenedEngine, SimulationEngine
 from repro.core.program_builder import SelfTestProgram
 from repro.obs import runtime as obs_runtime
-from repro.obs.metrics import merge_snapshot
 from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
 from repro.xtalk.params import ElectricalParams
@@ -78,7 +68,7 @@ logger = logging.getLogger("repro.core.campaign")
 PROGRESS_LOG_EVERY = 200
 
 #: ``(defects judged so far, total defects, detected so far)`` — called
-#: after every defect (serial) or every finished shard (process).
+#: after every judged defect.
 ProgressCallback = Callable[[int, int, int], None]
 
 
@@ -217,15 +207,15 @@ def config_digest(
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Everything a worker needs to judge a slice of defects.
+    """Everything needed to judge a slice of defects.
 
-    A spec is pure picklable data: the program image, the electrical
-    and threshold configuration, the defect slice, and the engine
+    A spec is pure data: the program image, the electrical and
+    threshold configuration, the defect slice, and the engine
     selection.  It references no live system, bus, hook, tracer, or
-    open file — workers rebuild all of that with :meth:`build_engine`,
-    which captures the golden run and screens the slice in memory (a
-    few milliseconds), so a campaign keeps no on-disk state besides an
-    explicit journal.
+    open file.  :meth:`fingerprint` identifies the campaign's outcomes;
+    :meth:`build_engine` builds the live state, capturing the golden
+    run and screening the slice in memory (a few milliseconds), so a
+    campaign keeps no on-disk state besides an explicit journal.
     """
 
     program: SelfTestProgram
@@ -243,11 +233,10 @@ class CampaignSpec:
             raise ValueError("engine must be 'exact' or 'screened'")
 
     def build_engine(self) -> SimulationEngine:
-        """Rebuild the simulation engine this spec describes.
+        """Build the simulation engine this spec describes.
 
-        This is the factory workers call after unpickling a spec.  Both
-        engines simulate their own golden run.  The screened engine is
-        prepared with the spec's defects, so replay dedup knows the
+        Both engines simulate their own golden run.  The screened engine
+        is prepared with the spec's defects, so replay dedup knows the
         whole slice.
         """
         if self.engine == "exact":
@@ -317,10 +306,6 @@ class CampaignJournal:
     tolerated and repaired by truncating the file back to the last
     intact record.  Corruption anywhere *before* the tail is an error:
     the journal can no longer be trusted.
-
-    A journal is deliberately **not picklable**: it owns an open file
-    handle, and worker processes must never inherit one (they receive
-    only the picklable :class:`CampaignSpec`).
     """
 
     def __init__(
@@ -476,12 +461,6 @@ class CampaignJournal:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def __reduce__(self):
-        raise TypeError(
-            "CampaignJournal is not picklable: worker processes must never "
-            "inherit its open file handle (ship the CampaignSpec instead)"
-        )
-
 
 # ---------------------------------------------------------------------------
 # Running a campaign
@@ -493,15 +472,14 @@ class CampaignResult:
     """Merged outcome of one campaign run.
 
     ``outcomes`` is sorted by defect index and bit-identical to an
-    uninterrupted serial run of the same spec, whatever the worker
-    count or resume history that produced it.
+    uninterrupted run of the same spec, whatever the resume history
+    that produced it.
     """
 
     label: str
     outcomes: List[DetectionOutcome]
     executed: int
     resumed: int
-    workers: int
 
     def detected_set(self) -> Set[int]:
         """Indices of the defects the program detects."""
@@ -526,118 +504,16 @@ class CampaignResult:
         return self.detected / len(self.outcomes)
 
 
-#: Shards dealt per pool worker: enough slack for dynamic load balance.
-SHARDS_PER_WORKER = 4
-
-# Worker-process state, set once per worker by the pool initializer so
-# the spec is shipped (and the engine built) once per worker rather than
-# once per shard.
-_WORKER_SPEC: Optional[CampaignSpec] = None
-_WORKER_ENGINE: Optional[SimulationEngine] = None
-_WORKER_COLLECT = False
-_WORKER_STARTUP_SNAPSHOT: Dict[str, dict] = {}
-
-
-def _init_worker(spec: CampaignSpec, collect_metrics: bool) -> None:
-    """Build the per-worker engine from the (freshly unpickled) spec.
-
-    Any observability session inherited through ``fork`` is dropped
-    first: its registry belongs to the parent and updating the copy
-    would silently discard metrics.  Workers that should report roll
-    up through their own session in :func:`_run_shard` instead; the
-    engine build runs under its own session here so startup metrics
-    (golden cycles) survive into the worker's first
-    shard rollup rather than vanishing with the fork.
-    """
-    global _WORKER_SPEC, _WORKER_ENGINE, _WORKER_COLLECT
-    global _WORKER_STARTUP_SNAPSHOT
-    obs_runtime.disable()
-    _WORKER_SPEC = spec
-    _WORKER_COLLECT = collect_metrics
-    if collect_metrics:
-        with obs_runtime.session(detail="metrics") as session:
-            _WORKER_ENGINE = spec.build_engine()
-            _WORKER_STARTUP_SNAPSHOT = session.registry.snapshot()
-    else:
-        _WORKER_ENGINE = spec.build_engine()
-
-
-def _run_shard(
-    positions: Sequence[int],
-) -> Tuple[List[DetectionOutcome], Dict[str, dict]]:
-    """Judge one shard (positions into ``spec.defects``) in a worker."""
-    global _WORKER_STARTUP_SNAPSHOT
-    assert _WORKER_SPEC is not None and _WORKER_ENGINE is not None
-    defects = [_WORKER_SPEC.defects[position] for position in positions]
-    if _WORKER_COLLECT:
-        with obs_runtime.session(detail="metrics") as session:
-            if _WORKER_STARTUP_SNAPSHOT:
-                merge_snapshot(session.registry, _WORKER_STARTUP_SNAPSHOT)
-                _WORKER_STARTUP_SNAPSHOT = {}
-            outcomes = run_defects(_WORKER_ENGINE, defects, _WORKER_SPEC.bus)
-            snapshot = session.registry.snapshot()
-        return outcomes, snapshot
-    return run_defects(_WORKER_ENGINE, defects, _WORKER_SPEC.bus), {}
-
-
-def _run_pool(
-    spec: CampaignSpec,
-    positions: Sequence[int],
-    workers: int,
-    on_outcome: Optional[Callable[[DetectionOutcome], None]],
-    progress: Optional[ProgressCallback],
-) -> List[DetectionOutcome]:
-    """Shard ``positions`` over a process pool; outcomes in completion order.
-
-    Sharding is deterministic: the positions are dealt round-robin into
-    ``workers * SHARDS_PER_WORKER`` shards (striding spreads expensive
-    defect clusters across workers).  Each worker builds its engine
-    once (pool initializer), so shard count is a load-balancing knob,
-    not a setup-cost multiplier.  ``on_outcome`` runs in this process
-    only: workers never touch the journal.
-    """
-    shard_count = min(len(positions), workers * SHARDS_PER_WORKER)
-    shards = [positions[s::shard_count] for s in range(shard_count)]
-    collect = obs_runtime.active() is not None
-    registry = obs_runtime.registry()
-    registry.counter("campaign.shards").inc(len(shards))
-    registry.gauge("campaign.workers").set(workers)
-    total = len(positions)
-    detected = 0
-    outcomes: List[DetectionOutcome] = []
-    with ProcessPoolExecutor(
-        max_workers=min(workers, shard_count),
-        initializer=_init_worker,
-        initargs=(spec, collect),
-    ) as pool:
-        futures = [pool.submit(_run_shard, shard) for shard in shards]
-        for future in as_completed(futures):
-            shard_outcomes, snapshot = future.result()
-            if collect and snapshot:
-                merge_snapshot(registry, snapshot)
-            for outcome in shard_outcomes:
-                outcomes.append(outcome)
-                if outcome.detected:
-                    detected += 1
-                if on_outcome is not None:
-                    on_outcome(outcome)
-            if progress is not None:
-                progress(len(outcomes), total, detected)
-    return outcomes
-
-
 def run_campaign(
     spec: CampaignSpec,
-    workers: int = 1,
     journal: Optional[Union[str, Path, CampaignJournal]] = None,
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
 ) -> CampaignResult:
     """Judge every defect of ``spec``; return the index-sorted result.
 
-    ``workers == 1`` runs the defects in this process on one engine;
-    above that they are sharded over a process pool (see
-    :func:`_run_pool`).  The outcomes are the same either way.
+    The defects the journal does not already hold are judged in order
+    on one engine built by :meth:`CampaignSpec.build_engine`.
 
     ``journal`` is ``None``, a path (a :class:`CampaignJournal` is
     opened against the spec's fingerprint and closed afterwards), or an
@@ -646,8 +522,6 @@ def run_campaign(
     skips every defect the journal already holds; it requires a
     journal.  ``progress`` is an optional :data:`ProgressCallback`.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if resume and journal is None:
         raise ValueError("resume requires a journal")
     owned: Optional[CampaignJournal] = None
@@ -660,21 +534,16 @@ def run_campaign(
             journal.done(spec.label) if journal is not None else {}
         )
         pending = [
-            position
-            for position, defect in enumerate(spec.defects)
-            if defect.index not in done
+            defect for defect in spec.defects if defect.index not in done
         ]
         on_outcome: Optional[Callable[[DetectionOutcome], None]] = None
         if journal is not None:
             on_outcome = functools.partial(journal.record, group=spec.label)
-        if not pending:
-            executed: List[DetectionOutcome] = []
-        elif workers > 1:
-            executed = _run_pool(spec, pending, workers, on_outcome, progress)
-        else:
+        executed: List[DetectionOutcome] = []
+        if pending:
             executed = run_defects(
                 spec.build_engine(),
-                [spec.defects[position] for position in pending],
+                pending,
                 spec.bus,
                 on_outcome=on_outcome,
                 progress=progress,
@@ -696,7 +565,6 @@ def run_campaign(
         outcomes=outcomes,
         executed=len(executed),
         resumed=len(resumed),
-        workers=workers,
     )
 
 

@@ -4,9 +4,9 @@ Per-defect *execution* lives in :mod:`repro.core.campaign` (specs, the
 campaign loop, journals); this module is the *aggregation* side: the
 Fig. 11 report builder :func:`address_bus_line_coverage`, which routes
 every per-line campaign through
-:func:`~repro.core.campaign.run_campaign` — so it shards across worker
-processes (``workers``) and survives interruption (``journal`` /
-``resume``) without the report changing by a bit.
+:func:`~repro.core.campaign.run_campaign` — so it survives
+interruption (``journal`` / ``resume``) without the report changing by
+a bit.
 
 A defect is detected when the final memory image differs from the
 fault-free golden image or the run never halts; every bus transition of
@@ -113,7 +113,6 @@ def address_bus_line_coverage(
     builder: Optional[SelfTestProgramBuilder] = None,
     full_program: Optional[SelfTestProgram] = None,
     engine: str = "screened",
-    workers: int = 1,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
     progress: Optional[ProgressCallback] = None,
@@ -127,9 +126,8 @@ def address_bus_line_coverage(
     overall coverage is evaluated too (the paper's single-test-program
     coverage, 100 % in their experiment).
 
-    ``engine`` selects the defect-simulation engine per program and
-    ``workers`` the campaign parallelism (a process pool above 1); the
-    report is engine- and worker-independent.  ``journal`` names a JSONL
+    ``engine`` selects the defect-simulation engine per program; the
+    report is engine-independent.  ``journal`` names a JSONL
     outcome journal covering the whole figure (one record group per
     line, plus ``"full"``); with ``resume=True`` an interrupted run is
     picked up where it stopped and the finished report is identical to
@@ -181,8 +179,7 @@ def address_bus_line_coverage(
                     label=label,
                 )
                 result = run_campaign(
-                    spec, workers=workers, journal=shared_journal,
-                    progress=progress,
+                    spec, journal=shared_journal, progress=progress
                 )
             if line_faults is None:
                 full_coverage = result.coverage()

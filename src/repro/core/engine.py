@@ -273,11 +273,12 @@ class ScreenedEngine(SimulationEngine):
     def prepare(self, defects: Iterable[Defect]) -> None:
         """Screen, in one vectorized pass, every defect not yet in
         :attr:`verdicts`, and group the corrupting ones by their first
-        corrupted transaction for replay dedup.  Without it
-        :meth:`check` screens lazily, one defect at a time, and replays
-        every corrupting defect.  Raises ``ValueError`` for a defect
-        that couples wires that are not neighbours (the decision tables
-        cannot describe it; :class:`ExactEngine` can)."""
+        corrupted transaction for replay dedup.  :meth:`check` prepares
+        a defect it meets unprepared on its own, so without a library
+        ``prepare`` every corrupting defect is replayed.  Raises
+        ``ValueError`` for a defect that couples wires that are not
+        neighbours (the decision tables cannot describe it;
+        :class:`ExactEngine` can)."""
         defects = list(defects)
         missing = [
             defect for defect in defects if defect.index not in self.verdicts
@@ -290,17 +291,13 @@ class ScreenedEngine(SimulationEngine):
                 group = self._pending.setdefault(verdict.first_index, {})
                 group[defect.index] = defect
 
-    def _verdict_for(self, defect: Defect) -> ScreenVerdict:
-        verdict = self.verdicts.get(defect.index)
-        if verdict is None:
-            verdict = self.screen.screen_one(defect)
-            self.verdicts[defect.index] = verdict
-        return verdict
-
     # -- judging ------------------------------------------------------------
 
     def check(self, defect: Defect) -> ResponseCheck:
-        verdict = self._verdict_for(defect)
+        verdict = self.verdicts.get(defect.index)
+        if verdict is None:
+            self.prepare([defect])
+            verdict = self.verdicts[defect.index]
         registry = obs_runtime.registry()
         if verdict.clean:
             # Provably identical to the fault-free run: no simulation.

@@ -113,7 +113,6 @@ def session_coverage(
     calibration: Calibration,
     bus: str = "addr",
     engine: str = "screened",
-    workers: int = 1,
 ) -> float:
     """Union defect coverage of every program in a session plan.
 
@@ -123,8 +122,6 @@ def session_coverage(
     ``"screened"`` pays off here because each session program gets its
     own golden trace, and defects clean on a session's trace skip that
     session's replay.
-    ``workers`` shards each session's campaign over a process pool
-    (see :mod:`repro.core.campaign`); the result is worker-independent.
     """
     if len(library) == 0:
         return 0.0
@@ -139,5 +136,5 @@ def session_coverage(
             engine=engine,
             label=f"session{session}",
         )
-        detected |= run_campaign(spec, workers=workers).detected_set()
+        detected |= run_campaign(spec).detected_set()
     return len(detected) / len(library)

@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
     Timer,
-    merge_snapshot,
 )
 from repro.obs.report import RunReport
 from repro.obs.runtime import (
@@ -64,7 +63,6 @@ __all__ = [
     "disable",
     "enable",
     "load_schema",
-    "merge_snapshot",
     "registry",
     "session",
     "span",

@@ -103,29 +103,6 @@ class Timer:
         index = min(len(ordered) - 1, int(q * len(ordered)))
         return ordered[index]
 
-    def absorb(
-        self,
-        count: int,
-        total_ns: int,
-        min_ns: Optional[int],
-        max_ns: Optional[int],
-    ) -> None:
-        """Fold another timer's running aggregates into this one.
-
-        Used by the campaign layer to roll worker-process snapshots up
-        into the parent registry.  The sample reservoir cannot be
-        reconstructed from a snapshot, so absorbed samples contribute to
-        count/total/min/max but not to the percentile window.
-        """
-        if count <= 0:
-            return
-        self.count += count
-        self.total_ns += total_ns
-        if min_ns is not None and (self.min_ns is None or min_ns < self.min_ns):
-            self.min_ns = min_ns
-        if max_ns is not None and (self.max_ns is None or max_ns > self.max_ns):
-            self.max_ns = max_ns
-
     def snapshot(self) -> Dict[str, Union[str, int, float, None]]:
         return {
             "type": "timer",
@@ -206,15 +183,6 @@ class NullTimer(Timer):
     def observe(self, duration_ns: int) -> None:
         pass
 
-    def absorb(
-        self,
-        count: int,
-        total_ns: int,
-        min_ns: Optional[int],
-        max_ns: Optional[int],
-    ) -> None:
-        pass
-
 
 NULL_COUNTER = NullCounter("null")
 NULL_GAUGE = NullGauge("null")
@@ -244,29 +212,3 @@ class NullRegistry(MetricsRegistry):
 
 NULL_REGISTRY = NullRegistry()
 
-
-def merge_snapshot(
-    registry: MetricsRegistry, snapshot: Dict[str, Dict]
-) -> None:
-    """Fold a :meth:`MetricsRegistry.snapshot` into ``registry``.
-
-    This is the order-independent rollup the campaign layer uses to
-    merge worker-process metrics into the parent's registry: counters
-    add, timers fold their running aggregates (:meth:`Timer.absorb`),
-    and gauges adopt the snapshot value (last writer wins — campaign
-    gauges are progress-style, where any recent value is fine).
-    Unknown metric types are ignored so newer snapshots stay mergeable.
-    """
-    for name, data in snapshot.items():
-        kind = data.get("type")
-        if kind == "counter":
-            registry.counter(name).inc(int(data.get("value", 0)))
-        elif kind == "gauge":
-            registry.gauge(name).set(float(data.get("value", 0.0)))
-        elif kind == "timer":
-            registry.timer(name).absorb(
-                int(data.get("count", 0)),
-                int(data.get("total_ns", 0)),
-                data.get("min_ns"),
-                data.get("max_ns"),
-            )

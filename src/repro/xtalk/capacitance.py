@@ -159,8 +159,8 @@ def parse_capacitance(text: str) -> CapacitanceSet:
     The document must be ``{"coupling": [[...], ...], "ground": [...]}``
     in femtofarads.  Identical texts return the *same* instance, which
     amortizes the O(n^2) symmetry/positivity validation in
-    ``CapacitanceSet.__post_init__`` — worker processes re-reading the
-    shared parameter file validate it once.
+    ``CapacitanceSet.__post_init__`` — re-reading a shared parameter
+    file validates it once.
     """
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     cached = _parse_memo.get(digest)

@@ -117,9 +117,7 @@ class CrosstalkErrorModel:
         the caller passes the transitions its run actually used to
         :meth:`consume`.
         """
-        return decide_many(
-            transitions, self.kernel, self.caps, self.params, self.calibration
-        )
+        return decide_many(transitions, self.caps, self.params, self.calibration)
 
     def consume(
         self,

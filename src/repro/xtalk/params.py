@@ -2,9 +2,9 @@
 
 Parameter files (the paper's "parameter file" inputs) are small JSON
 objects; :func:`parse_params` / :func:`load_params` read them with a
-content- respectively stat-keyed memo, so campaign worker processes that
-reference the same file repeatedly parse and validate it exactly once
-per interpreter.
+content- respectively stat-keyed memo, so callers that reference the
+same file repeatedly parse and validate it exactly once per
+interpreter.
 """
 
 from __future__ import annotations

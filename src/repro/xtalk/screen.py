@@ -36,9 +36,8 @@ replay fast-forwarding through an empty-memory sled.
 
 :meth:`TraceScreen.screen_one` is the scalar reference: one
 :class:`TransitionKernel` scan over the deduplicated transitions with
-early exit, bit-identical to the error model by construction.  The
-screened engine uses it for defects it was never asked to
-:meth:`~TraceScreen.screen` in bulk.
+early exit, bit-identical to the error model by construction.  Tests
+hold :meth:`~TraceScreen.screen` to it; the engines never call it.
 """
 
 from __future__ import annotations
@@ -256,17 +255,16 @@ def first_mismatch(
 
 def decide_many(
     transitions: Sequence[Tuple[int, int, BusDirection]],
-    kernel: TransitionKernel,
     caps: CapacitanceSet,
     params: ElectricalParams,
     calibration: Calibration,
 ) -> List[int]:
     """The received word of every transition, for one capacitance set.
 
-    The table form of ``kernel.decide(...)[0]`` over a whole list: one
-    gather from the flip row of ``caps``, which equals ``kernel`` (built
-    from ``(caps, params, calibration)``) entry for entry.  A transition
-    with ``previous == driven`` is received as driven.
+    The table form of ``TransitionKernel(caps, params,
+    calibration).decide(...)[0]`` over a whole list: one gather from the
+    flip row of ``caps``, which equals that kernel entry for entry.  A
+    transition with ``previous == driven`` is received as driven.
     """
     if not transitions:
         return []
@@ -355,7 +353,8 @@ class TraceScreen:
     # -- scalar reference ---------------------------------------------------
 
     def screen_one(self, defect: Defect) -> ScreenVerdict:
-        """Evaluate a single defect with the scalar kernel."""
+        """Evaluate a single defect with the scalar kernel (the
+        reference :meth:`screen` is tested against)."""
         decide = TransitionKernel(
             defect.caps, self.params, self.calibration
         ).decide

@@ -29,36 +29,15 @@ def test_simulate_small(capsys):
 
 def test_simulate_json_stdout_is_machine_parseable(capsys):
     """--json emits exactly one JSON object on stdout; progress and
-    logs stay on stderr even under a parallel run."""
+    logs stay on stderr."""
     assert main([
-        "simulate", "--bus", "data", "--defects", "20",
-        "--workers", "2", "--json",
+        "simulate", "--bus", "data", "--defects", "20", "--json",
     ]) == 0
     captured = capsys.readouterr()
     payload = json.loads(captured.out)  # whole stdout must parse
     assert payload["defects"] == 20
     assert payload["detected"] == 20
-    assert payload["workers"] == 2
     assert "defects" in captured.err  # progress went to stderr
-
-
-def test_simulate_workers_match_serial(capsys):
-    """simulate --workers N is byte-identical to the serial output."""
-    outputs = {}
-    for workers in ("1", "2"):
-        assert main([
-            "simulate", "--bus", "data", "--defects", "15",
-            "--workers", workers, "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        # Worker and work-telemetry fields legitimately differ (each
-        # worker captures its own golden run and replays its own
-        # shard's groups); everything the campaign *computed* must not.
-        outputs[workers] = {
-            key: value for key, value in payload.items()
-            if key not in ("workers", "golden_cycles", "cycles_fast_forwarded")
-        }
-    assert outputs["1"] == outputs["2"]
 
 
 def test_simulate_reports_fast_forwarded_cycles(capsys):
@@ -126,13 +105,6 @@ def test_fig11_small(capsys):
     assert "cumulative" in out
 
 
-def test_fig11_parallel_matches_serial(capsys):
-    assert main(["fig11", "--defects", "25"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["fig11", "--defects", "25", "--workers", "2"]) == 0
-    assert capsys.readouterr().out == serial
-
-
 def test_timing(capsys):
     assert main(["timing"]) == 0
     out = capsys.readouterr().out
@@ -175,22 +147,6 @@ def test_parser_requires_command():
         make_parser().parse_args([])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "--workers", "0"],
-        ["fig11", "--workers", "-3"],
-        ["profile", "--workers", "0"],
-    ],
-    ids=["simulate", "fig11", "profile"],
-)
-def test_workers_below_one_is_a_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 2
-    assert "--workers: must be at least 1" in capsys.readouterr().err
-
-
 def test_profile_examples_emits_valid_run_report(tmp_path, capsys):
     from repro.obs import RunReport
 
@@ -222,24 +178,6 @@ def test_profile_metrics_detail_omits_spans(tmp_path, capsys):
     report = RunReport.load(out)
     assert report.spans == []
     assert report.metrics["bus.data.corrupted"]["value"] > 0
-
-
-def test_profile_parallel_rolls_up_worker_metrics(tmp_path, capsys):
-    """One RunReport describes the whole parallel campaign: worker
-    shard snapshots are merged into the parent registry."""
-    from repro.obs import RunReport
-
-    out = tmp_path / "run_report.json"
-    assert main([
-        "profile", "examples", "--defects", "16", "--bus", "data",
-        "--workers", "2", "--detail", "metrics", "--out", str(out),
-    ]) == 0
-    report = RunReport.load(out)
-    assert report.config["workers"] == 2
-    assert report.metrics["coverage.defects.simulated"]["value"] == 16
-    assert report.metrics["campaign.workers"]["value"] == 2
-    assert report.metrics["coverage.defect.replay"]["count"] == 16
-    assert report.results["coverage"]["defects"] == 16
 
 
 def test_profile_trace_export(tmp_path, capsys):

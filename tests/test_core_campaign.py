@@ -3,9 +3,7 @@
 The load-bearing guarantees under test:
 
 * a :class:`CampaignSpec` is pure picklable data with a stable
-  fingerprint (workers rebuild engines from it);
-* the process pool produces outcomes bit-identical to the serial loop
-  at any worker count, under either engine;
+  fingerprint, and either engine built from it judges alike;
 * the JSONL journal survives the interruptions it exists for — a
   truncated trailing line is repaired, anything worse is refused — and
   a resumed campaign's merged result is identical to an uninterrupted
@@ -19,22 +17,23 @@ import hashlib
 import json
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.campaign import (
     CampaignJournal,
     CampaignSpec,
     DetectionOutcome,
     JournalError,
-    _init_worker,
     config_digest,
     run_campaign,
 )
-from repro import obs
-from repro.obs import runtime as obs_runtime
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +128,7 @@ class TestCampaignSpec:
 
 
 # ---------------------------------------------------------------------------
-# Serial loop and process pool
+# Fingerprint digest and the campaign loop
 # ---------------------------------------------------------------------------
 
 
@@ -192,25 +191,11 @@ def test_config_digest_bytes_are_one_json_dump(bus):
 
 
 class TestBackends:
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_are_refused(self, spec, workers):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            run_campaign(spec, workers=workers)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_process_backend_matches_serial(
-        self, spec, serial_outcomes, workers
-    ):
-        result = run_campaign(spec, workers=workers)
-        assert result.workers == workers
-        assert result.outcomes == serial_outcomes
-
     def test_empty_defect_slice(self, spec):
         empty = dataclasses.replace(spec, defects=())
-        for workers in (1, 2):
-            result = run_campaign(empty, workers=workers)
-            assert result.outcomes == []
-            assert result.executed == 0
+        result = run_campaign(empty)
+        assert result.outcomes == []
+        assert result.executed == 0
 
     def test_campaign_leaves_no_files_behind(
         self, spec, serial_outcomes, tmp_path, monkeypatch
@@ -223,25 +208,21 @@ class TestBackends:
         assert run_campaign(spec).outcomes == serial_outcomes
         assert list(tmp_path.iterdir()) == []
 
-    def test_worker_initializer_drops_inherited_obs_session(self, spec):
-        """A forked worker must not report into the parent's registry."""
-        with obs.session(detail="metrics"):
-            assert obs_runtime.active() is not None
-            _init_worker(spec, collect_metrics=False)
-            assert obs_runtime.active() is None
-
-    def test_parallel_metrics_roll_up_into_one_registry(self, spec):
-        with obs.session(detail="metrics") as session:
-            run_campaign(spec, workers=2)
-        snapshot = session.registry.snapshot()
-        assert (
-            snapshot["coverage.defects.simulated"]["value"]
-            == len(spec.defects)
+    def test_import_does_not_load_multiprocessing(self):
+        """Campaigns run in one process: ``import repro`` pays for no
+        process-pool machinery."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
         )
-        assert snapshot["campaign.workers"]["value"] == 2
-        replay = snapshot["coverage.defect.replay"]
-        assert replay["count"] == len(spec.defects)
-        assert replay["total_ns"] > 0
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print(*sys.modules, sep=chr(10))"],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        ).stdout.splitlines()
+        assert "repro.core.campaign" in loaded
+        assert not [name for name in loaded if name.startswith("multiprocessing")]
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +345,6 @@ class TestJournal:
         with pytest.raises(JournalError, match="not a campaign journal"):
             CampaignJournal(path, "fp", resume=True)
 
-    def test_journal_is_not_picklable(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "campaign.jsonl", "fp")
-        with pytest.raises(TypeError, match="not picklable"):
-            pickle.dumps(journal)
-        journal.close()
-
 
 # ---------------------------------------------------------------------------
 # Resume semantics
@@ -382,12 +357,10 @@ class TestRunnerResume:
         self, spec, serial_outcomes, tmp_path, engine
     ):
         """Each engine, built through ``CampaignSpec.build_engine``,
-        matches the default serial run on one worker, on two, and after
-        a journal resume."""
+        matches the default run, both uninterrupted and after a journal
+        resume."""
         engine_spec = dataclasses.replace(spec, engine=engine)
         assert run_campaign(engine_spec).outcomes == serial_outcomes
-        pooled = run_campaign(engine_spec, workers=2)
-        assert pooled.outcomes == serial_outcomes
         path = tmp_path / f"campaign-{engine}.jsonl"
         journal = CampaignJournal(path, engine_spec.fingerprint())
         for outcome in serial_outcomes[:25]:
@@ -413,18 +386,15 @@ class TestRunnerResume:
         assert second.resumed == len(spec.defects)
         assert second.outcomes == serial_outcomes
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_interrupted_run_resumes_identically(
-        self, spec, serial_outcomes, tmp_path, workers
+        self, spec, serial_outcomes, tmp_path
     ):
-        path = tmp_path / f"campaign-{workers}.jsonl"
+        path = tmp_path / "campaign.jsonl"
         journal = CampaignJournal(path, spec.fingerprint())
         for outcome in serial_outcomes[:25]:  # the part that "finished"
             journal.record(outcome, group=spec.label)
         journal.close()
-        resumed = run_campaign(
-            spec, workers=workers, journal=path, resume=True
-        )
+        resumed = run_campaign(spec, journal=path, resume=True)
         assert resumed.resumed == 25
         assert resumed.executed == len(spec.defects) - 25
         assert resumed.outcomes == serial_outcomes

@@ -201,8 +201,9 @@ def test_couplings_beyond_neighbours_fail_prepare_not_the_oracle(
     addr_program, addr_setup
 ):
     """The screened engine's tables need nearest-neighbour coupling:
-    prepare names the offending pair, while the exact engine, which
-    stays on the scalar kernel, still judges the defect."""
+    prepare names the offending pair, and so does a check of the defect
+    unprepared, while the exact engine, which stays on the scalar
+    kernel, still judges the defect."""
     from repro.xtalk.capacitance import CapacitanceSet
     from repro.xtalk.defects import Defect
 
@@ -219,6 +220,9 @@ def test_couplings_beyond_neighbours_fail_prepare_not_the_oracle(
     engine = ScreenedEngine(addr_program, params, calibration, "addr")
     with pytest.raises(ValueError, match="wires 3 and 5"):
         engine.prepare([far])
+    unprepared = ScreenedEngine(addr_program, params, calibration, "addr")
+    with pytest.raises(ValueError, match="wires 3 and 5"):
+        unprepared.check(far)
     exact = ExactEngine(addr_program, params, calibration, "addr")
     assert exact.check(far) == _stepped_check(exact, far)
     assert exact.last_model.corruptions > 0

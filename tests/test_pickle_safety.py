@@ -1,12 +1,11 @@
-"""Pickle safety of everything a campaign worker receives — or must not.
+"""A :class:`CampaignSpec` and its parts are pure data.
 
-The process backend ships exactly one object to each worker: the
-:class:`CampaignSpec`.  These tests pin down that every component of a
-spec round-trips through pickle with equality intact and rebuilds
-byte-identical behavior (the :class:`TransitionKernel` check), and —
-just as important — that objects owning live handles or bus hooks
-(journals, engines with installed corruption hooks, tracers wired into
-buses) are *not* part of what crosses the process boundary.
+These tests pin down that every component of a spec round-trips
+through pickle with equality intact and rebuilds byte-identical
+behavior (the :class:`TransitionKernel` check), and — just as
+important — that objects owning live handles or bus hooks (engines
+with installed corruption hooks, tracers wired into buses) are *not*
+reachable from a spec.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ class TestKernelInputsPickle:
         )
 
     def test_rebuilt_kernel_decides_identically(self, address_setup):
-        """A worker's kernel (rebuilt from unpickled inputs) must agree
-        transition for transition with the parent's."""
+        """A kernel rebuilt from unpickled inputs must agree transition
+        for transition with the original."""
         original = TransitionKernel(
             address_setup.caps, address_setup.params,
             address_setup.calibration,

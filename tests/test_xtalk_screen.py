@@ -326,9 +326,9 @@ def test_first_mismatch_and_decide_many_match_a_scalar_loop(library, data):
     )
     kernels = [TransitionKernel(d.caps, params, calibration) for d in defects]
     for defect, kernel in zip(defects, kernels):
-        assert decide_many(
-            transitions, kernel, defect.caps, params, calibration
-        ) == [kernel.decide(*transition)[0] for transition in transitions]
+        assert decide_many(transitions, defect.caps, params, calibration) == [
+            kernel.decide(*transition)[0] for transition in transitions
+        ]
     recorder = data.draw(st.sampled_from(kernels))
     targets = [recorder.decide(*transition)[0] for transition in transitions]
     if transitions:
@@ -363,9 +363,9 @@ def test_long_lists_match_a_scalar_loop(address_setup):
     assert first_mismatch(
         transitions, targets, defects, params, calibration
     ) == expected
-    assert decide_many(
-        transitions, kernels[3], defects[3].caps, params, calibration
-    ) == [kernels[3].decide(*transition)[0] for transition in transitions]
+    assert decide_many(transitions, defects[3].caps, params, calibration) == [
+        kernels[3].decide(*transition)[0] for transition in transitions
+    ]
 
 
 def test_library_rows_share_one_table(setup):
@@ -392,6 +392,5 @@ def test_tables_reject_couplings_beyond_neighbours(setup, trace):
         first_mismatch(
             transitions, [t[1] for t in transitions], [far], params, calibration
         )
-    kernel = TransitionKernel(caps, params, calibration)
     with pytest.raises(ValueError, match="wires 2 and 4"):
-        decide_many(transitions, kernel, caps, params, calibration)
+        decide_many(transitions, caps, params, calibration)
