@@ -2,8 +2,9 @@
 
 The high-level error model reduces each transition to closed-form
 glitch/delay thresholds; this experiment checks those reductions against
-the coupled-RC network solution (scipy matrix-exponential propagation)
-over a sample of defective capacitance sets and MA patterns:
+the coupled-RC network solution (eigen-decomposition of the symmetric
+capacitance matrix into decaying modes) over a sample of defective
+capacitance sets and MA patterns:
 
 * delay: the Miller-factor Elmore estimate versus the ODE 50 %-crossing;
 * glitch: amplitude monotonicity and decision agreement using

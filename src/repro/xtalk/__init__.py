@@ -10,8 +10,8 @@ This package stands in for the paper's HDL-level crosstalk machinery:
   corrupts the second vector of a bus transition at the receiving end,
 * the defect-library generator (Gaussian capacitance perturbation with a
   net-coupling threshold ``Cth``, after Cuviello et al., ICCAD 1999),
-* a scipy-based coupled-RC waveform simulator used to validate the lumped
-  estimators.
+* a coupled-RC waveform simulator (numpy eigen-decomposition of the
+  capacitance matrix) used to validate the lumped estimators.
 """
 
 from repro.xtalk.geometry import BusGeometry

@@ -25,7 +25,7 @@ defects in an RC network), which the property-based tests verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
 from repro.soc.bus import BusDirection
 from repro.xtalk.capacitance import CapacitanceSet
@@ -63,9 +63,11 @@ class Calibration:
 
     def defective_wires(self, caps: CapacitanceSet) -> tuple:
         """Wires whose net coupling exceeds cth."""
-        return tuple(
-            i for i, net in enumerate(caps.net_couplings()) if net > self.cth
-        )
+        return self.wires_over(caps.net_couplings())
+
+    def wires_over(self, nets: Sequence[float]) -> tuple:
+        """Indices of the per-wire net couplings ``nets`` that exceed cth."""
+        return tuple(i for i, net in enumerate(nets) if net > self.cth)
 
 
 def calibrate(

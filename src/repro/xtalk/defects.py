@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.xtalk.calibration import Calibration
@@ -158,17 +159,23 @@ def generate_defect_library(
             )
         library.attempts += 1
         factors = _perturbation_factors(nominal, rng, sigma)
-        perturbed = nominal.perturbed(factors)
-        wires = calibration.defective_wires(perturbed)
+        # The rows and net couplings ``nominal.perturbed(factors)`` would
+        # hold, bit for bit; only an accepted perturbation pays for the
+        # validated CapacitanceSet.
+        rows = tuple(
+            tuple(map(mul, row, scale))
+            for row, scale in zip(nominal.coupling, factors)
+        )
+        nets = [sum(row) for row in rows]
+        wires = calibration.wires_over(nets)
         if not wires:
             continue
-        severity = max(perturbed.net_couplings()) / calibration.cth
         library.defects.append(
             Defect(
                 index=len(library.defects),
-                caps=perturbed,
+                caps=CapacitanceSet(coupling=rows, ground=nominal.ground),
                 defective_wires=wires,
-                severity=severity,
+                severity=max(nets) / calibration.cth,
             )
         )
     return library

@@ -1,4 +1,4 @@
-"""Detailed coupled-RC waveform simulation (scipy-based).
+"""Detailed coupled-RC waveform simulation.
 
 The lumped estimators in :mod:`repro.xtalk.rc_model` reduce each
 transition to closed-form glitch/delay expressions.  This module solves
@@ -12,8 +12,12 @@ its neighbours.  Node equations in Maxwell form::
     C dV/dt = G (Vin - V)
 
 with ``C[i][i] = Cg_i + sum_j Cc_ij``, ``C[i][j] = -Cc_ij`` and
-``G = diag(1/R_i)``.  The solution is propagated with a matrix
-exponential over a fixed time grid.
+``G = I/R`` (every driver of one transfer has the same resistance).
+``C`` is symmetric positive definite, so with the eigen-decomposition
+``C = Q diag(lambda) Q^T`` the network decouples into ``N`` modes, and
+the deviation from the driven levels at time ``t`` is
+``V(t) - Vin = Q diag(exp(-t / (R lambda))) Q^T (V(0) - Vin)``,
+evaluated on a fixed time grid.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.soc.bus import BusDirection
 from repro.xtalk.capacitance import CapacitanceSet
@@ -99,7 +102,15 @@ def simulate_transition(
     t_end: Optional[float] = None,
     points: int = 600,
 ) -> WaveformResult:
-    """Simulate the bus transition ``v1 -> v2`` and return the waveforms."""
+    """Simulate the bus transition ``v1 -> v2`` and return the waveforms.
+
+    Raises
+    ------
+    ValueError
+        If the capacitance matrix is not positive definite (a wire, or a
+        group of coupled wires, with no capacitance to ground), so the
+        network has no unique solution.
+    """
     n = caps.wire_count
     kinds = classify_transition(v1, v2, n)
     r = params.r_for(direction)
@@ -109,7 +120,14 @@ def simulate_transition(
         c_matrix[i, i] = (caps.ground[i] + caps.net_coupling(i)) * 1e-15
         for j, cc in caps.neighbours(i):
             c_matrix[i, j] = -cc * 1e-15
-    g_matrix = np.eye(n) / r
+    eigenvalues, modes = np.linalg.eigh(c_matrix)
+    # The numerical-rank tolerance: a smaller eigenvalue is round-off of
+    # zero, and its mode would never decay.
+    if eigenvalues[0] <= eigenvalues[-1] * n * np.finfo(float).eps:
+        raise ValueError(
+            "capacitance set is not positive definite: a group of "
+            "coupled wires has no capacitance to ground"
+        )
 
     v_initial = np.array(
         [params.vdd if (v1 >> i) & 1 else 0.0 for i in range(n)]
@@ -126,14 +144,9 @@ def simulate_transition(
         t_end = 10.0 * r * worst * 1e-15
 
     times = np.linspace(0.0, t_end, points)
-    a_matrix = -np.linalg.solve(c_matrix, g_matrix)
-    propagator = expm(a_matrix * (times[1] - times[0]))
-
-    voltages = np.empty((n, points))
-    deviation = v_initial - v_final
-    for k in range(points):
-        voltages[:, k] = v_final + deviation
-        deviation = propagator @ deviation
+    decay = np.exp(np.outer(-1.0 / (r * eigenvalues), times))
+    modal = modes.T @ (v_initial - v_final)
+    voltages = v_final[:, None] + modes @ (decay * modal[:, None])
     return WaveformResult(
         times=times, voltages=voltages, kinds=kinds, vdd=params.vdd
     )

@@ -1,10 +1,18 @@
 """Unit tests for defect library generation."""
 
+import hashlib
+import random
+
 import pytest
 
+from repro import default_address_bus_setup, default_data_bus_setup
 from repro.xtalk.calibration import calibrate
 from repro.xtalk.capacitance import extract_capacitance
-from repro.xtalk.defects import generate_defect_library
+from repro.xtalk.defects import (
+    DEFAULT_SIGMA,
+    _perturbation_factors,
+    generate_defect_library,
+)
 from repro.xtalk.geometry import BusGeometry
 from repro.xtalk.params import ElectricalParams
 
@@ -79,3 +87,46 @@ def test_bad_arguments(setup):
         generate_defect_library(caps, calibration, count=0)
     with pytest.raises(ValueError):
         generate_defect_library(caps, calibration, count=5, sigma=0.0)
+
+
+# The seed-2001 libraries every campaign judges, pinned bit for bit:
+# attempts drawn and a sha256 over each defect's repr'd fields.
+LIBRARY_FINGERPRINTS = {
+    12: (1407, "275c4efaf974b7fe4f9a80b71732d7d8c967549b2d8c1b070ad4e1cc3e7c9af9"),
+    8: (2501, "e240e4e1787f26b7ada42cf6021f0d0a65b45b1961fc4b40d70c59ef6a6f97bc"),
+}
+
+
+@pytest.mark.parametrize(
+    "make_setup, wires",
+    [(default_address_bus_setup, 12), (default_data_bus_setup, 8)],
+    ids=["address", "data"],
+)
+def test_default_library_fingerprint(make_setup, wires):
+    library = make_setup().library
+    digest = hashlib.sha256()
+    for d in library:
+        digest.update(repr(
+            (d.index, d.caps.coupling, d.caps.ground, d.defective_wires, d.severity)
+        ).encode())
+    assert len(library) == 1000
+    assert (library.attempts, digest.hexdigest()) == LIBRARY_FINGERPRINTS[wires]
+
+
+@pytest.mark.parametrize("wires", [12, 8])
+def test_accepted_defects_equal_perturbed_sets(wires):
+    # The generator scales rows itself; each accepted defect must be what
+    # ``nominal.perturbed`` builds from the same factors.
+    nominal = extract_capacitance(BusGeometry.edge_relaxed(wires))
+    calibration = calibrate(nominal, ElectricalParams())
+    library = generate_defect_library(nominal, calibration, count=200, seed=7)
+    rng = random.Random(7)
+    expected = []
+    for _ in range(library.attempts):
+        caps = nominal.perturbed(_perturbation_factors(nominal, rng, DEFAULT_SIGMA))
+        defective = calibration.defective_wires(caps)
+        if defective:
+            expected.append(
+                (caps, defective, max(caps.net_couplings()) / calibration.cth)
+            )
+    assert [(d.caps, d.defective_wires, d.severity) for d in library] == expected
