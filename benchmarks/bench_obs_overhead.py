@@ -22,10 +22,6 @@ procedure:
   slower than one pair cancels inside the pair, and the median ignores
   the pairs a burst of contention hit on one side.  Its interquartile
   range is printed with it.
-
-The ``full`` detail level (per-cycle FSM occupancy, per-defect spans)
-runs right after each pair and is only reported, against the pair's
-no-op run — it trades speed for depth by design.
 """
 
 import gc
@@ -40,7 +36,6 @@ from repro.analysis.tables import format_table
 from repro.core.coverage import address_bus_line_coverage
 from repro.core.program_builder import SelfTestProgramBuilder
 from repro.obs import runtime as obs_runtime
-from repro.obs import session
 
 #: The comparison needs many repeats of the E4 kernel, so it runs on a
 #: reduced library regardless of REPRO_BENCH_DEFECTS.
@@ -63,21 +58,16 @@ def test_obs_overhead_e4(benchmark):
             workload()
 
     def run_metrics():
-        # The autouse bench fixture already has a metrics-level session
-        # active, so this is the instrumented arm as benchmarks see it.
+        # The autouse bench fixture already has a session active, so
+        # this is the instrumented arm as benchmarks see it.
         workload()
-
-    def run_full():
-        with session(detail="full"):
-            workload()
 
     # Warm every arm (allocator pools, bytecode specialization); an
     # unwarmed arm reads several percent slow on its first round.
     run_noop()
     run_metrics()
-    run_full()
 
-    noop_times, metrics_ratios, full_ratios = [], [], []
+    noop_times, metrics_ratios = [], []
     gc.collect()
     gc.disable()
     try:
@@ -87,30 +77,24 @@ def test_obs_overhead_e4(benchmark):
                 else (run_metrics, run_noop)
             )
             times = {}
-            for runner in (first, second, run_full):
+            for runner in (first, second):
                 start = time.perf_counter()
                 runner()
                 times[runner] = time.perf_counter() - start
             noop_times.append(times[run_noop])
             metrics_ratios.append(times[run_metrics] / times[run_noop])
-            full_ratios.append(times[run_full] / times[run_noop])
     finally:
         gc.enable()
 
     benchmark.pedantic(run_noop, rounds=1, iterations=1)
 
-    def overhead(ratios):
-        """Median overhead and its interquartile range, as fractions."""
-        q1, median, q3 = statistics.quantiles(ratios, n=4)
-        return median - 1.0, q1 - 1.0, q3 - 1.0
-
-    metrics_overhead, metrics_q1, metrics_q3 = overhead(metrics_ratios)
-    full_overhead, full_q1, full_q3 = overhead(full_ratios)
+    # Median overhead and its interquartile range, as fractions.
+    metrics_q1, metrics_overhead, metrics_q3 = (
+        q - 1.0 for q in statistics.quantiles(metrics_ratios, n=4)
+    )
     rows = [
-        ("enabled, detail=metrics", f"{100 * metrics_overhead:+.2f}%",
+        ("enabled", f"{100 * metrics_overhead:+.2f}%",
          f"[{100 * metrics_q1:+.2f}%, {100 * metrics_q3:+.2f}%]"),
-        ("enabled, detail=full", f"{100 * full_overhead:+.2f}%",
-         f"[{100 * full_q1:+.2f}%, {100 * full_q3:+.2f}%]"),
     ]
     emit(
         f"OBS — instrumentation overhead on the E4 kernel "
@@ -124,9 +108,6 @@ def test_obs_overhead_e4(benchmark):
                          f"{100 * metrics_overhead:.2f}%",
                          note=f"IQR [{100 * metrics_q1:.2f}%, "
                          f"{100 * metrics_q3:.2f}%]"),
-        ExperimentRecord("OBS", "full-detail overhead on E4",
-                         "(not budgeted)", f"{100 * full_overhead:.2f}%",
-                         note="adds per-cycle FSM occupancy + spans"),
     ]
     emit_records("OBS — record", records)
     assert metrics_overhead < OVERHEAD_BUDGET

@@ -106,7 +106,7 @@ def bench_report(request):
     )
     _current_report = report
     try:
-        with obs.session(detail="metrics") as session:
+        with obs.session() as session:
             yield report
             report.phases = session.spans.phases()
             report.metrics = session.registry.snapshot()

@@ -144,9 +144,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         engine=args.engine,
         label=f"simulate:{args.bus}",
     )
-    # A metrics session makes the golden and fast-forwarded cycle
+    # A session makes the golden and fast-forwarded cycle
     # counts observable in the output.
-    with obs_runtime.session(detail="metrics") as obs_session:
+    with obs_runtime.session() as obs_session:
         try:
             result = run_campaign(
                 spec,
@@ -238,7 +238,7 @@ def cmd_timing(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Run a workload under full observability and emit a RunReport."""
+    """Run a workload under observability and emit a RunReport."""
     from repro import obs
     from repro.core.sessions import build_sessions
     from repro.soc.tracer import BusTracer
@@ -250,11 +250,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         "bus": args.bus,
         "defects": args.defects,
         "seed": args.seed,
-        "detail": args.detail,
         "engine": args.engine,
     }
     results: dict = {}
-    with obs.session(detail=args.detail) as obs_session:
+    with obs.session() as obs_session:
         with obs.span("setup"):
             setup = default_bus_setup(
                 width, defect_count=args.defects, seed=args.seed
@@ -330,7 +329,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         kind="profile",
         label=f"profile:{args.target}",
         config=config,
-        include_spans=args.detail == "full",
     )
     run_report.results = results
     errors = run_report.validation_errors()
@@ -433,10 +431,6 @@ def make_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=2001)
     profile.add_argument("--engine", choices=("exact", "screened"),
                          default="screened", help=engine_help)
-    profile.add_argument("--detail", choices=("metrics", "full"),
-                         default="full",
-                         help="telemetry depth (full adds FSM occupancy "
-                         "and per-defect spans)")
     profile.add_argument("--out", metavar="PATH", default="run_report.json",
                          help="RunReport JSON output path")
     profile.add_argument("--trace", metavar="PATH",

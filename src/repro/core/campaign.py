@@ -115,11 +115,7 @@ def run_defects(
                 check = engine.check(defect)
             else:
                 start = time.perf_counter_ns()
-                if obs.full_detail:
-                    with obs.spans.span("defect", index=defect.index, bus=bus):
-                        check = engine.check(defect)
-                else:
-                    check = engine.check(defect)
+                check = engine.check(defect)
                 registry = obs.registry
                 registry.timer("coverage.defect.replay").observe(
                     time.perf_counter_ns() - start

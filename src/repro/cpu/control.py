@@ -150,29 +150,6 @@ CYCLES_BY_CLASS = {
 
 INDIRECT_EXTRA_CYCLES = 2
 
-#: Coarse activity category of each FSM state, used by observability to
-#: report bounded-cardinality occupancy (``cpu.state_class.fetch`` ...)
-#: alongside the full per-state table in ``detail="full"`` mode.
-STATE_CATEGORIES = {
-    ControlState.FETCH1_ADDR: "fetch",
-    ControlState.FETCH1_DATA: "fetch",
-    ControlState.DECODE: "decode",
-    ControlState.FETCH2_ADDR: "fetch",
-    ControlState.FETCH2_DATA: "fetch",
-    ControlState.POINTER_ADDR: "memory",
-    ControlState.POINTER_DATA: "memory",
-    ControlState.OPERAND_ADDR: "memory",
-    ControlState.OPERAND_DATA: "memory",
-    ControlState.WRITE_ADDR: "memory",
-    ControlState.WRITE_DATA: "memory",
-    ControlState.EXECUTE_ALU: "execute",
-    ControlState.EXECUTE_JUMP: "execute",
-    ControlState.EXECUTE_BRANCH: "execute",
-    ControlState.EXECUTE_IMPLIED: "execute",
-    ControlState.HALTED: "halted",
-}
-
-
 def expected_cycles(op: DecodedOp) -> int:
     """Cycle cost of one instruction under this control unit."""
     base = CYCLES_BY_CLASS[op.op_class]

@@ -147,17 +147,6 @@ class Cpu:
         handler = self._HANDLERS[self.state]
         handler(self)
 
-    def tick_counted(self, occupancy: dict) -> None:
-        """:meth:`tick`, also tallying FSM-state occupancy.
-
-        The observed run loop (``CpuMemorySystem`` under full-detail
-        observability) uses this variant so the plain :meth:`tick` hot
-        path carries no per-cycle accounting when telemetry is off.
-        """
-        state = self.state
-        occupancy[state] = occupancy.get(state, 0) + 1
-        self._HANDLERS[state](self)
-
     def _tick_fetch1_addr(self) -> None:
         registers = self.registers
         self._instruction_start = registers.pc

@@ -554,14 +554,6 @@ class FastCpu:
         self._step = step + 1
         self._program[step](self)
 
-    def tick_counted(self, occupancy: Dict[ControlState, int]) -> None:
-        """Advance one cycle, tallying the state into ``occupancy``."""
-        step = self._step
-        state = self._states[step]
-        occupancy[state] = occupancy.get(state, 0) + 1
-        self._step = step + 1
-        self._program[step](self)
-
     def retire_zero_loads(self, count: int, operand: int) -> None:
         """Retire ``count`` whole ``LDA 0x000`` instructions at once.
 

@@ -17,13 +17,20 @@ code paths throughout ``repro.cpu`` / ``repro.soc`` / ``repro.xtalk`` /
 load) or talk to shared null metric objects whose methods do nothing
 and allocate nothing.  Enable collection around a workload with::
 
-    from repro import obs
-
-    with obs.session(detail="full") as session:
-        simulator.run_library(library)
-    report = obs.RunReport.from_observability(
-        session, kind="run", label="my campaign"
+    from repro import (
+        CampaignSpec, SelfTestProgramBuilder, default_address_bus_setup,
+        obs, run_campaign,
     )
+
+    setup = default_address_bus_setup(defect_count=20)
+    program = SelfTestProgramBuilder().build_address_bus_program()
+    spec = CampaignSpec(
+        program, setup.params, setup.calibration, tuple(setup.library)
+    )
+    with obs.session() as s:
+        run_campaign(spec)
+    print(s.registry.snapshot()["coverage.defects.detected"])
+    report = obs.RunReport.from_observability(s, kind="run", label="demo")
     report.save("run_report.json")
 """
 
@@ -38,12 +45,9 @@ from repro.obs.report import RunReport
 from repro.obs.runtime import (
     Observability,
     active,
-    disable,
-    enable,
     registry,
     session,
     span,
-    spans,
 )
 from repro.obs.schema import load_schema, validate, validate_or_raise
 from repro.obs.spans import NULL_SPAN, Span, SpanRecorder
@@ -60,13 +64,10 @@ __all__ = [
     "SpanRecorder",
     "Timer",
     "active",
-    "disable",
-    "enable",
     "load_schema",
     "registry",
     "session",
     "span",
-    "spans",
     "validate",
     "validate_or_raise",
 ]

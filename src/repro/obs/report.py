@@ -59,7 +59,6 @@ class RunReport:
         kind: str,
         label: str,
         config: Optional[Dict[str, Any]] = None,
-        include_spans: bool = True,
     ) -> "RunReport":
         """Snapshot an observability session into a report."""
         return cls(
@@ -68,7 +67,7 @@ class RunReport:
             config=dict(config or {}),
             phases=obs.spans.phases(),
             metrics=obs.registry.snapshot(),
-            spans=obs.spans.as_dicts() if include_spans else [],
+            spans=obs.spans.as_dicts(),
         )
 
     def add_records(self, records) -> None:

@@ -5,47 +5,29 @@ default).  Instrumented code asks this module for the current registry
 or span recorder; when nothing is active it gets the shared null
 variants, so the instrumented hot paths stay allocation-free.
 
-Two detail levels:
-
-``"metrics"`` (default)
-    Per-run aggregate metrics only.  The per-event work is the native
-    counters the models keep anyway (see ``soc.bus`` / ``xtalk``), so
-    the enabled-vs-disabled delta on a defect campaign stays well under
-    the 5 % budget proven by ``benchmarks/bench_obs_overhead.py``.
-
-``"full"``
-    Additionally: per-cycle FSM-state occupancy, a span per simulated
-    defect, and whatever extra cardinality callers opt into.  Meant for
-    ``repro-sbst profile``, not for timing-sensitive benchmarking.
+A session collects per-run aggregate metrics and the span tree of the
+run's phases.  The per-event work is the native counters the models
+keep anyway (see ``soc.bus`` / ``xtalk``), and an observed run clocks
+through the same loop as an unobserved one, so the enabled-vs-disabled
+delta on a defect campaign stays under the 5 % budget gated by
+``benchmarks/bench_obs_overhead.py``.
 """
 
 from __future__ import annotations
 
-import logging
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.obs.spans import NULL_SPAN, NULL_SPAN_RECORDER, Span, SpanRecorder
-
-logger = logging.getLogger("repro.obs")
-
-DETAIL_LEVELS = ("metrics", "full")
+from repro.obs.spans import NULL_SPAN, Span, SpanRecorder
 
 
 class Observability:
     """One enabled observability session: a registry plus a span tree."""
 
-    def __init__(self, detail: str = "metrics"):
-        if detail not in DETAIL_LEVELS:
-            raise ValueError(f"detail must be one of {DETAIL_LEVELS}")
-        self.detail = detail
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.spans = SpanRecorder()
-
-    @property
-    def full_detail(self) -> bool:
-        return self.detail == "full"
 
 
 _ACTIVE: Optional[Observability] = None
@@ -61,20 +43,6 @@ def active() -> Optional[Observability]:
     return _ACTIVE
 
 
-def enable(detail: str = "metrics") -> Observability:
-    """Start a fresh observability session (replacing any current one)."""
-    global _ACTIVE
-    _ACTIVE = Observability(detail=detail)
-    logger.debug("observability enabled (detail=%s)", detail)
-    return _ACTIVE
-
-
-def disable() -> None:
-    """Stop collecting; instrumentation reverts to the no-op path."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
 def registry() -> MetricsRegistry:
     """The active registry, or the allocation-free null registry."""
     obs = _ACTIVE
@@ -87,12 +55,6 @@ def span(name: str, **attrs: object) -> Span:
     if obs is None:
         return NULL_SPAN  # type: ignore[return-value]
     return obs.spans.span(name, **attrs)
-
-
-def spans() -> SpanRecorder:
-    """The active span recorder, or the null recorder."""
-    obs = _ACTIVE
-    return obs.spans if obs is not None else NULL_SPAN_RECORDER
 
 
 @contextmanager
@@ -112,13 +74,13 @@ def suspended() -> Iterator[None]:
 
 
 @contextmanager
-def session(detail: str = "metrics") -> Iterator[Observability]:
+def session() -> Iterator[Observability]:
     """Enable observability for a ``with`` block, then restore the
     previous state (supports nesting, e.g. tests inside a profiled
     run)."""
     global _ACTIVE
     previous = _ACTIVE
-    obs = Observability(detail=detail)
+    obs = Observability()
     _ACTIVE = obs
     try:
         yield obs

@@ -1,9 +1,9 @@
 """Hierarchical timing spans with a context-manager API.
 
 A span is one timed region of a run (``setup``, ``campaign``,
-``campaign/defect[17]``...).  Spans nest: entering a span while another
-is open makes it a child, so a finished recorder holds a forest whose
-roots are the run's *phases*.
+``campaign/coverage.campaign``...).  Spans nest: entering a span while
+another is open makes it a child, so a finished recorder holds a forest
+whose roots are the run's *phases*.
 
 As with metrics, the disabled path must be free: :data:`NULL_SPAN` is a
 reusable context manager whose ``__enter__``/``__exit__`` do nothing and
@@ -66,10 +66,9 @@ class Span:
 class SpanRecorder:
     """Collects a forest of spans for one observability session.
 
-    ``max_spans`` bounds memory on pathological workloads (a 1000-defect
-    campaign with per-defect spans is fine; an unbounded loop is not):
-    past the limit new spans are silently timed but not retained, and
-    :attr:`dropped` counts them.
+    ``max_spans`` bounds memory on pathological workloads (an unbounded
+    loop of spans): past the limit new spans are silently timed but not
+    retained, and :attr:`dropped` counts them.
     """
 
     def __init__(self, max_spans: int = 100_000):
@@ -130,19 +129,3 @@ class _NullSpan:
 
 
 NULL_SPAN = _NullSpan()
-
-
-class NullSpanRecorder(SpanRecorder):
-    """Recorder handed out when observability is disabled."""
-
-    def span(self, name: str, **attrs: object) -> Span:
-        return NULL_SPAN  # type: ignore[return-value]
-
-    def phases(self) -> List[Dict[str, object]]:
-        return []
-
-    def as_dicts(self) -> List[Dict[str, object]]:
-        return []
-
-
-NULL_SPAN_RECORDER = NullSpanRecorder()

@@ -81,32 +81,6 @@ CorruptionHook = Callable[[int, int, BusDirection], int]
 
 
 @dataclass(frozen=True)
-class BusStats:
-    """Cumulative transaction statistics of one bus.
-
-    These are the bus's *native* counters: plain integer increments paid
-    on every transfer whether or not observability is enabled, so that
-    enabling telemetry does not change the per-transaction cost (the
-    observability layer merely snapshots them per run).
-    """
-
-    transactions: int
-    corrupted: int
-    by_kind: Dict[TransactionKind, int]
-
-    def delta(self, earlier: "BusStats") -> "BusStats":
-        """Stats accumulated since ``earlier`` was captured."""
-        return BusStats(
-            transactions=self.transactions - earlier.transactions,
-            corrupted=self.corrupted - earlier.corrupted,
-            by_kind={
-                kind: self.by_kind[kind] - earlier.by_kind.get(kind, 0)
-                for kind in self.by_kind
-            },
-        )
-
-
-@dataclass(frozen=True)
 class BusSnapshot:
     """Complete state of one bus: held word plus native counters.
 
@@ -171,14 +145,6 @@ class Bus:
     def add_observer(self, observer: Callable[[BusTransaction], None]) -> None:
         """Register a callback invoked with every completed transaction."""
         self._observers.append(observer)
-
-    def stats(self) -> BusStats:
-        """Snapshot of the native transaction counters (since creation)."""
-        return BusStats(
-            transactions=self._transaction_count,
-            corrupted=self._corrupted_count,
-            by_kind=dict(self._kind_counts),
-        )
 
     def reset(self, value: int = 0) -> None:
         """Reset the held word (the corruption hook and observers remain)."""

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.cpu.control import STATE_CATEGORIES
 from repro.cpu.datapath import BusPort, CpuSnapshot
 from repro.cpu.microcode import ZERO_LOAD_CYCLES, FastCpu
 from repro.isa.instructions import ADDR_BITS, DATA_BITS, MEMORY_SIZE
@@ -223,9 +221,8 @@ class CpuMemorySystem(BusPort):
 
         When an observability session is active the run additionally
         rolls its aggregate counters (cycles, instructions, per-bus
-        transaction stats; FSM-state occupancy in full detail) into the
-        session registry.  With observability off, no counters are kept
-        and the clock loop ticks the CPU directly.
+        transaction stats) into the session registry.  Either way the
+        run clocks through the same loop (:meth:`_clock`).
         """
         self.reset(entry)
         return self._drive(obs_runtime.active(), max_cycles, "cpu.runs")
@@ -348,10 +345,8 @@ class CpuMemorySystem(BusPort):
         self.cycle += skipped
         return skipped
 
-    def _clock(
-        self, tick: Callable[[], None], max_cycles: int, counted: bool = False
-    ) -> Tuple[RunEnd, int]:
-        """Call ``tick`` once per cycle until halt, a proven loop or
+    def _clock(self, max_cycles: int) -> Tuple[RunEnd, int]:
+        """Tick the CPU once per cycle until halt, a proven loop or
         ``max_cycles``; the end and the cycles fast-forwarded.
 
         The hang proof: the system is deterministic and a bus corruption
@@ -366,19 +361,19 @@ class CpuMemorySystem(BusPort):
 
         The sled fast-forward (:meth:`_fast_forward`) runs at every
         instruction boundary that starts on ``00 00`` while
-        :meth:`_sled_bus` allows it; ``counted`` (a ``tick`` that
-        tallies control-state occupancy) turns it off.  The boundaries
-        it jumps over are not keyed, so a proof can come later or not
-        at all (the run then ends at the budget, the same timed-out
-        outcome), but is never invented.
+        :meth:`_sled_bus` allows it.  The boundaries it jumps over are
+        not keyed, so a proof can come later or not at all (the run then
+        ends at the budget, the same timed-out outcome), but is never
+        invented.
         """
         cpu = self.cpu
         if cpu.halted:
             return RunEnd.HALTED, 0
+        tick = cpu.tick
         prove = not self.mmio_regions
         boundary_state = cpu.boundary_state
         memory = self.memory
-        sled_bus = None if counted else self._sled_bus()
+        sled_bus = self._sled_bus()
         cells = memory._cells
         last_start = min(memory.size, _ADDRESS_SPACE) - 1
         skipped = 0
@@ -423,23 +418,18 @@ class CpuMemorySystem(BusPort):
         """Clock the CPU until it stops; shared by run/resume."""
         cpu = self.cpu
         if obs is None:
-            end, _ = self._clock(cpu.tick, max_cycles)
+            end, _ = self._clock(max_cycles)
             return RunResult(
                 end=end, cycles=self.cycle, instructions=cpu.instruction_count
             )
         cycles_before = self.cycle
         instructions_before = cpu.instruction_count
         buses = (self.address_bus, self.data_bus)
-        # The buses' native counters, read directly: BusStats keys its
-        # counts by enum member, whose hash is a Python call.
         before = [
             (bus._transaction_count, bus._corrupted_count, bus._kind_counts.copy())
             for bus in buses
         ]
-        occupancy: dict = {}
-        counted = obs.full_detail
-        tick = partial(cpu.tick_counted, occupancy) if counted else cpu.tick
-        end, skipped = self._clock(tick, max_cycles, counted)
+        end, skipped = self._clock(max_cycles)
         result = RunResult(
             end=end, cycles=self.cycle, instructions=cpu.instruction_count
         )
@@ -469,9 +459,4 @@ class CpuMemorySystem(BusPort):
                     registry.counter(f"bus.{name}.kind.{kind.value}").inc(
                         count - kinds[kind]
                     )
-        for state, count in occupancy.items():
-            registry.counter(f"cpu.state.{state.value}").inc(count)
-            registry.counter(
-                f"cpu.state_class.{STATE_CATEGORIES[state]}"
-            ).inc(count)
         return result

@@ -50,14 +50,7 @@ class CapacitanceSet:
     #: nearest-neighbour coupling, which the screen's tables need.
     reach: int = field(default=0, init=False, compare=False, repr=False)
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __post_init__(self):
-        # The campaign's library-digest memo hashes every defect, and
-        # with it this set, once per program; hashing the nested tuples
-        # each time cost more than the lookup.
-        object.__setattr__(self, "_hash", hash((self.coupling, self.ground)))
         coupling, ground = self.coupling, self.ground
         n = len(ground)
         if n == 0:
@@ -74,14 +67,15 @@ class CapacitanceSet:
             if not 0.0 <= ground[i] < inf:
                 raise ValueError(_NOT_A_CAPACITANCE)
             row = coupling[i]
-            for j in range(n):
-                value = row[j]
+            for value in row:
                 if not 0.0 <= value < inf:
                     raise ValueError(_NOT_A_CAPACITANCE)
+            for j in range(i + 1, n):
+                value = row[j]
                 if abs(value - coupling[j][i]) > 1e-12:
                     raise ValueError("coupling matrix must be symmetric")
-                if value and abs(i - j) > reach:
-                    reach = abs(i - j)
+                if value and j - i > reach:
+                    reach = j - i
         object.__setattr__(self, "reach", reach)
 
     @property

@@ -163,21 +163,27 @@ def test_profile_examples_emits_valid_run_report(tmp_path, capsys):
     assert len(report.metrics) >= 10
     assert report.metrics["coverage.defects.simulated"]["value"] == 25
     assert report.results["coverage"]["defects"] == 25
-    assert report.spans  # default detail=full keeps the span tree
+    assert report.spans
     assert "run report written" in capsys.readouterr().out
 
 
-def test_profile_metrics_detail_omits_spans(tmp_path, capsys):
+def test_profile_report_spans_the_fast_forwarded_run(tmp_path, capsys):
     from repro.obs import RunReport
 
     out = tmp_path / "run_report.json"
-    assert main([
-        "profile", "examples", "--defects", "10", "--bus", "data",
-        "--detail", "metrics", "--out", str(out),
-    ]) == 0
+    assert main(["profile", "examples", "--defects", "50",
+                 "--out", str(out)]) == 0
     report = RunReport.load(out)
-    assert report.spans == []
-    assert report.metrics["bus.data.corrupted"]["value"] > 0
+
+    def names(spans):
+        for span in spans:
+            yield span["name"]
+            yield from names(span.get("children", []))
+
+    assert report.spans
+    assert "coverage.campaign" in set(names(report.spans))
+    assert "defect" not in set(names(report.spans))
+    assert report.metrics["cpu.cycles_fast_forwarded"]["value"] > 0
 
 
 def test_profile_trace_export(tmp_path, capsys):

@@ -9,7 +9,7 @@ from repro.obs import RunReport, load_schema, session, validate
 
 
 def make_report():
-    with session(detail="full") as obs:
+    with session() as obs:
         with obs.spans.span("setup"):
             pass
         with obs.spans.span("campaign"):
@@ -26,7 +26,7 @@ def test_from_observability_snapshot():
     assert [p["name"] for p in report.phases] == ["setup", "campaign"]
     assert report.metrics["cpu.cycles"] == {"type": "counter", "value": 1234}
     assert report.metrics["coverage.defect.replay"]["count"] == 1
-    assert report.spans  # include_spans=True by default
+    assert report.spans
 
 
 def test_report_validates_against_checked_in_schema():
@@ -95,3 +95,26 @@ def test_validate_cli_tool(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "profile"}), encoding="utf-8")
     assert validate_main([str(bad)]) == 1
+
+
+def test_usage_snippet_runs(tmp_path, monkeypatch, capsys):
+    """The session snippet of README.md and the ``repro.obs`` docstring
+    is one snippet, and it runs (at 20 defects)."""
+    import textwrap
+    from pathlib import Path
+
+    import repro.obs
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Observability and run reports", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    docstring = repro.obs.__doc__.split("::\n", 1)[1]
+    assert textwrap.dedent(docstring).strip() == snippet.strip()
+
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, "README.md", "exec"), {})
+    report = RunReport.load(tmp_path / "run_report.json")
+    assert report.metrics["coverage.defects.simulated"]["value"] == 20
+    assert [span["name"] for span in report.spans] == ["coverage.campaign"]
+    printed = capsys.readouterr().out.strip()
+    assert printed == str(report.metrics["coverage.defects.detected"])

@@ -74,11 +74,10 @@ def test_recorder_caps_retained_spans():
 
 def test_runtime_session_nesting_restores_previous():
     assert obs_runtime.active() is None
-    with obs_runtime.session(detail="metrics") as outer:
+    with obs_runtime.session() as outer:
         assert obs_runtime.active() is outer
-        with obs_runtime.session(detail="full") as inner:
+        with obs_runtime.session() as inner:
             assert obs_runtime.active() is inner
-            assert inner.full_detail
         assert obs_runtime.active() is outer
     assert obs_runtime.active() is None
 

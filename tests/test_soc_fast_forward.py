@@ -107,7 +107,7 @@ def test_sled_with_one_corrupted_transaction(transition, received):
         "address_bus", corrupt_one(transition, received)
     )
     assert result.halted
-    assert system.address_bus.stats().corrupted == 1
+    assert system.address_bus.snapshot().corrupted == 1
 
 
 #: The entry jump takes 6 cycles, then every sled instruction 8: budgets
@@ -161,11 +161,11 @@ def test_data_bus_sled_into_the_budget(budget):
     assert result.end is RunEnd.BUDGET
 
 
-def _refused(system, bus="address_bus", detail="metrics"):
+def _refused(system, bus="address_bus"):
     system.load_image(SLED)
     hook = RefusingHook(corrupt_one(None, 0))
     getattr(system, bus).install_corruption_hook(hook)
-    with obs_runtime.session(detail=detail) as session:
+    with obs_runtime.session() as session:
         result = system.run(entry=ENTRY, max_cycles=2_000)
     assert fast_forwarded(session) == 0
     return result
@@ -195,8 +195,22 @@ def test_no_fast_forward_on_the_reference_core():
     assert _refused(reference_system()).halted
 
 
-def test_no_fast_forward_under_full_detail():
-    assert _refused(CpuMemorySystem(), detail="full").halted
+def test_observed_run_clocks_like_an_unobserved_one():
+    decide = corrupt_one((0x241, 0x000), 0x010)
+    systems, hooks = [], []
+    for _ in range(2):
+        system = CpuMemorySystem()
+        system.load_image(SLED)
+        hooks.append(BatchHook(decide))
+        system.address_bus.install_corruption_hook(hooks[-1])
+        systems.append(system)
+    observed, unobserved = systems
+    with obs_runtime.session() as session:
+        observed_result = observed.run(entry=ENTRY, max_cycles=10_000)
+    assert fast_forwarded(session) > 0
+    assert unobserved.run(entry=ENTRY, max_cycles=10_000) == observed_result
+    assert observed.snapshot() == unobserved.snapshot()
+    assert hooks[0].log == hooks[1].log
 
 
 def test_no_fast_forward_with_hooks_on_both_buses():

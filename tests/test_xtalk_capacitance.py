@@ -32,11 +32,15 @@ def test_net_coupling_profile_edge_relaxed():
 
 
 def test_validation_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        CapacitanceSet(
-            coupling=((0.0, 1.0), (2.0, 0.0)),
-            ground=(1.0, 1.0),
-        )
+    # Each pair is compared once, so the larger value must be caught
+    # whichever triangle holds it, for adjacent and distant wires alike.
+    for i, j in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]:
+        coupling = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        coupling[i][j] = 2.0
+        with pytest.raises(ValueError, match="must be symmetric"):
+            CapacitanceSet(
+                coupling=tuple(map(tuple, coupling)), ground=(1.0,) * 3
+            )
 
 
 def test_validation_rejects_nonzero_diagonal():
@@ -55,8 +59,10 @@ NAN, INF = float("nan"), float("inf")
         (((0.0, 1.0), (1.0, 0.0)), (NAN, 1.0)),
         (((0.0, 1.0), (1.0, 0.0)), (1.0, INF)),
         (((0.0,),), (NAN,)),
+        (((0.0, 0.0), (-1e-13, 0.0)), (1.0, 1.0)),
     ],
-    ids=["nan-coupling", "inf-coupling", "nan-ground", "inf-ground", "one-wire"],
+    ids=["nan-coupling", "inf-coupling", "nan-ground", "inf-ground", "one-wire",
+         "negative-lower-triangle"],
 )
 def test_validation_rejects_non_finite(coupling, ground):
     with pytest.raises(ValueError, match="finite and non-negative"):
