@@ -9,12 +9,9 @@ Run:  python examples/fig11_address_bus.py [defect_count]
 
 import sys
 
-from repro import (
-    SelfTestProgramBuilder,
-    address_bus_line_coverage,
-    default_address_bus_setup,
-)
+from repro import SelfTestProgramBuilder, default_address_bus_setup
 from repro.analysis.charts import coverage_chart
+from repro.core.coverage import address_bus_line_coverage
 
 
 def main(defect_count: int = 400):

@@ -23,13 +23,13 @@ from typing import Callable, List, Optional
 from repro import (
     CampaignSpec,
     SelfTestProgramBuilder,
-    address_bus_line_coverage,
     default_bus_setup,
     run_campaign,
 )
 from repro.analysis.charts import coverage_chart
 from repro.analysis.tables import format_table
 from repro.core.campaign import JournalError
+from repro.core.coverage import address_bus_line_coverage
 from repro.core.signature import capture_golden
 from repro.core.validate import validate_applied_tests
 from repro.isa.disassembler import disassemble_image, format_listing
@@ -221,8 +221,8 @@ def cmd_fig11(args: argparse.Namespace) -> int:
 
 def cmd_timing(args: argparse.Namespace) -> int:
     from repro.isa.assembler import assemble
-    from repro.soc import BusTracer, CpuMemorySystem
-    from repro.soc.tracer import render_timing_diagram
+    from repro.soc import CpuMemorySystem
+    from repro.soc.tracer import BusTracer, render_timing_diagram
 
     system = CpuMemorySystem()
     program = assemble(

@@ -20,6 +20,9 @@ programs for the PARWAN-class CPU-memory system:
   :func:`run_campaign`, resumable JSONL outcome journals;
 * :mod:`repro.core.coverage` — the Fig. 11 per-line coverage report on
   top of the campaign layer.
+
+Only the campaign path is re-exported here; import the session,
+coverage, diagnosis and validation helpers from their modules.
 """
 
 from repro.core.maf import (
@@ -37,7 +40,6 @@ from repro.core.program_builder import (
     SelfTestProgramBuilder,
     SkippedTest,
 )
-from repro.core.sessions import build_sessions, session_coverage
 from repro.core.signature import GoldenReference, capture_golden, check_response
 from repro.core.engine import (
     ExactEngine,
@@ -53,9 +55,6 @@ from repro.core.campaign import (
     JournalError,
     run_campaign,
 )
-from repro.core.coverage import CoverageReport, address_bus_line_coverage
-from repro.core.diagnosis import DiagnosisReport, diagnose, diagnosis_accuracy
-from repro.core.validate import ValidationReport, validate_applied_tests
 
 __all__ = [
     "FaultType",
@@ -70,8 +69,6 @@ __all__ = [
     "SelfTestProgram",
     "SelfTestProgramBuilder",
     "SkippedTest",
-    "build_sessions",
-    "session_coverage",
     "GoldenReference",
     "capture_golden",
     "check_response",
@@ -84,12 +81,5 @@ __all__ = [
     "CampaignSpec",
     "JournalError",
     "run_campaign",
-    "CoverageReport",
     "DetectionOutcome",
-    "address_bus_line_coverage",
-    "DiagnosisReport",
-    "diagnose",
-    "diagnosis_accuracy",
-    "ValidationReport",
-    "validate_applied_tests",
 ]

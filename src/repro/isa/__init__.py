@@ -39,8 +39,6 @@ from repro.isa.encoding import (
     offset_of,
     page_of,
 )
-from repro.isa.assembler import AssemblyError, Assembler, assemble
-from repro.isa.disassembler import disassemble_image, disassemble_one
 
 __all__ = [
     "ADDR_BITS",
@@ -60,9 +58,4 @@ __all__ = [
     "make_address",
     "offset_of",
     "page_of",
-    "AssemblyError",
-    "Assembler",
-    "assemble",
-    "disassemble_image",
-    "disassemble_one",
 ]

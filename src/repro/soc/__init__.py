@@ -9,20 +9,15 @@ way the paper's HDL-level defect simulation environment does.
 """
 
 from repro.soc.bus import Bus, BusDirection, BusTransaction, TransactionKind
-from repro.soc.hexfile import HexFormatError, dump_image, load_image
 from repro.soc.memory import Memory
 from repro.soc.mmio import MMIORegion, RegisterCore, RomCore
 from repro.soc.system import CpuMemorySystem, RunEnd, RunResult
-from repro.soc.tracer import BusTracer, render_timing_diagram
 
 __all__ = [
     "Bus",
     "BusDirection",
     "BusTransaction",
     "TransactionKind",
-    "HexFormatError",
-    "dump_image",
-    "load_image",
     "Memory",
     "MMIORegion",
     "RegisterCore",
@@ -30,6 +25,4 @@ __all__ = [
     "CpuMemorySystem",
     "RunEnd",
     "RunResult",
-    "BusTracer",
-    "render_timing_diagram",
 ]

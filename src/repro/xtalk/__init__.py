@@ -22,18 +22,11 @@ from repro.xtalk.capacitance import (
     parse_capacitance,
 )
 from repro.xtalk.params import ElectricalParams, load_params, parse_params
-from repro.xtalk.rc_model import (
-    TransitionKindBits,
-    classify_transition,
-    glitch_voltage,
-    transition_delay,
-)
 from repro.xtalk.calibration import Calibration, calibrate
 from repro.xtalk.kernel import TransitionKernel, WireError
 from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.screen import ScreenVerdict, TraceScreen
 from repro.xtalk.defects import Defect, DefectLibrary, generate_defect_library
-from repro.xtalk.waveform import WaveformResult, simulate_transition
 
 __all__ = [
     "BusGeometry",
@@ -44,10 +37,6 @@ __all__ = [
     "ElectricalParams",
     "load_params",
     "parse_params",
-    "TransitionKindBits",
-    "classify_transition",
-    "glitch_voltage",
-    "transition_delay",
     "Calibration",
     "calibrate",
     "TransitionKernel",
@@ -58,6 +47,4 @@ __all__ = [
     "Defect",
     "DefectLibrary",
     "generate_defect_library",
-    "WaveformResult",
-    "simulate_transition",
 ]

@@ -11,10 +11,13 @@ generated per bus.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.xtalk.calibration import Calibration
 from repro.xtalk.capacitance import CapacitanceSet
@@ -105,19 +108,9 @@ class DefectLibrary:
         return [(low + i * width, counts[i]) for i in range(bins)]
 
 
-def _perturbation_factors(
-    nominal: CapacitanceSet, rng: random.Random, sigma: float
-) -> List[List[float]]:
-    """One symmetric matrix of Gaussian multiplicative factors."""
-    n = nominal.wire_count
-    factors = [[1.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if nominal.coupling[i][j] > 0.0:
-                factor = max(MIN_FACTOR, rng.gauss(1.0, sigma))
-                factors[i][j] = factor
-                factors[j][i] = factor
-    return factors
+#: Attempts drawn per numpy accept pass: bounds the factors drawn past
+#: the last accepted defect and the per-pass arrays.
+BATCH_ATTEMPTS = 256
 
 
 def generate_defect_library(
@@ -130,6 +123,10 @@ def generate_defect_library(
 ) -> DefectLibrary:
     """Generate ``count`` defects for the bus described by ``nominal``.
 
+    Each attempt draws one Gaussian factor per coupled pair ``i < j`` (in
+    row order) from ``random.Random(seed)``, clamps it at
+    :data:`MIN_FACTOR` and scales both ``coupling[i][j]`` and
+    ``coupling[j][i]`` by it, exactly as ``nominal.perturbed`` would.
     Perturbations that do not push any wire's net coupling above
     ``calibration.cth`` are discarded (they are process variation within
     budget, not defects).  ``max_attempts`` bounds the sampling loop; the
@@ -143,13 +140,26 @@ def generate_defect_library(
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    rng = random.Random(seed)
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
+    gauss = random.Random(seed).gauss
     budget = max_attempts if max_attempts is not None else 1000 * count
     library = DefectLibrary(
         nominal=nominal, calibration=calibration, sigma=sigma, seed=seed
     )
+    n = nominal.wire_count
+    coupling = np.array(nominal.coupling, dtype=float)
+    first, second = np.array(
+        [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if nominal.coupling[i][j] > 0.0
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 2).T
+    pairs = len(first)
+    cth = calibration.cth
     while len(library.defects) < count:
         if library.attempts >= budget:
             raise RuntimeError(
@@ -157,25 +167,37 @@ def generate_defect_library(
                 f"({len(library.defects)}/{count} defects found); "
                 "lower the safety factor or raise sigma"
             )
-        library.attempts += 1
-        factors = _perturbation_factors(nominal, rng, sigma)
-        # The rows and net couplings ``nominal.perturbed(factors)`` would
-        # hold, bit for bit; only an accepted perturbation pays for the
-        # validated CapacitanceSet.
-        rows = tuple(
-            tuple(map(mul, row, scale))
-            for row, scale in zip(nominal.coupling, factors)
+        size = min(BATCH_ATTEMPTS, budget - library.attempts)
+        draws = size * pairs
+        gaussians = np.fromiter(
+            map(gauss, repeat(1.0, draws), repeat(sigma, draws)), float, draws
         )
-        nets = [sum(row) for row in rows]
-        wires = calibration.wires_over(nets)
-        if not wires:
-            continue
-        library.defects.append(
-            Defect(
-                index=len(library.defects),
-                caps=CapacitanceSet(coupling=rows, ground=nominal.ground),
-                defective_wires=wires,
-                severity=max(nets) / calibration.cth,
+        factors = np.maximum(MIN_FACTOR, gaussians).reshape(size, pairs)
+        rows = np.repeat(coupling[np.newaxis], size, axis=0)
+        rows[:, first, second] *= factors
+        rows[:, second, first] *= factors
+        # Column by column from 0.0, the order ``sum(row)`` adds in, so
+        # every net is the float ``CapacitanceSet.net_couplings`` gives
+        # (Python 3.12's compensated ``sum`` agrees on every row with at
+        # most two couplings, as a nearest-neighbour set has).
+        nets = np.zeros((size, n))
+        for column in range(n):
+            nets += rows[:, :, column]
+        accepted = np.flatnonzero((nets > cth).any(axis=1))
+        accepted = accepted[: count - len(library.defects)]
+        for row_set, net in zip(rows[accepted].tolist(), nets[accepted].tolist()):
+            library.defects.append(
+                Defect(
+                    index=len(library.defects),
+                    caps=CapacitanceSet(
+                        coupling=tuple(map(tuple, row_set)),
+                        ground=nominal.ground,
+                    ),
+                    defective_wires=calibration.wires_over(net),
+                    severity=max(net) / cth,
+                )
             )
+        library.attempts += (
+            int(accepted[-1]) + 1 if len(library.defects) == count else size
         )
     return library

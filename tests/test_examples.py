@@ -1,5 +1,6 @@
 """Smoke tests: every shipped example runs end to end."""
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -61,3 +62,18 @@ def test_waveform_explorer_example():
 )
 def test_examples_exist(name):
     assert (EXAMPLES / name).is_file()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("*.py")), ids=lambda path: path.name
+)
+def test_example_imports_resolve(path):
+    # Only the top-level imports, in this process: a name dropped from
+    # the module an example imports it from fails here without running
+    # the example.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = [
+        node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports
+    exec(compile(ast.Module(body=imports, type_ignores=[]), str(path), "exec"), {})

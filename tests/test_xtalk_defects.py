@@ -7,10 +7,11 @@ import pytest
 
 from repro import default_address_bus_setup, default_data_bus_setup
 from repro.xtalk.calibration import calibrate
-from repro.xtalk.capacitance import extract_capacitance
+from repro.xtalk.capacitance import CapacitanceSet, extract_capacitance
 from repro.xtalk.defects import (
+    BATCH_ATTEMPTS,
     DEFAULT_SIGMA,
-    _perturbation_factors,
+    MIN_FACTOR,
     generate_defect_library,
 )
 from repro.xtalk.geometry import BusGeometry
@@ -87,6 +88,11 @@ def test_bad_arguments(setup):
         generate_defect_library(caps, calibration, count=0)
     with pytest.raises(ValueError):
         generate_defect_library(caps, calibration, count=5, sigma=0.0)
+    # A NaN sigma would clamp every factor to MIN_FACTOR and burn the
+    # whole budget; an infinite one would fail on the capacitance check.
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            generate_defect_library(caps, calibration, count=5, sigma=sigma)
 
 
 # The seed-2001 libraries every campaign judges, pinned bit for bit:
@@ -97,6 +103,15 @@ LIBRARY_FINGERPRINTS = {
 }
 
 
+def fingerprint(library):
+    digest = hashlib.sha256()
+    for d in library:
+        digest.update(repr(
+            (d.index, d.caps.coupling, d.caps.ground, d.defective_wires, d.severity)
+        ).encode())
+    return library.attempts, digest.hexdigest()
+
+
 @pytest.mark.parametrize(
     "make_setup, wires",
     [(default_address_bus_setup, 12), (default_data_bus_setup, 8)],
@@ -104,13 +119,38 @@ LIBRARY_FINGERPRINTS = {
 )
 def test_default_library_fingerprint(make_setup, wires):
     library = make_setup().library
-    digest = hashlib.sha256()
-    for d in library:
-        digest.update(repr(
-            (d.index, d.caps.coupling, d.caps.ground, d.defective_wires, d.severity)
-        ).encode())
     assert len(library) == 1000
-    assert (library.attempts, digest.hexdigest()) == LIBRARY_FINGERPRINTS[wires]
+    assert fingerprint(library) == LIBRARY_FINGERPRINTS[wires]
+
+
+def perturbed_library(nominal, calibration, count, seed, sigma=DEFAULT_SIGMA):
+    """``(attempts, [(caps, wires, severity), ...])`` drawn one attempt at
+    a time through ``nominal.perturbed``: the reference the generator must
+    match bit for bit."""
+    rng = random.Random(seed)
+    n = nominal.wire_count
+    attempts, accepted = 0, []
+    while len(accepted) < count:
+        attempts += 1
+        factors = [[1.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if nominal.coupling[i][j] > 0.0:
+                    factor = max(MIN_FACTOR, rng.gauss(1.0, sigma))
+                    factors[i][j] = factors[j][i] = factor
+        caps = nominal.perturbed(factors)
+        defective = calibration.defective_wires(caps)
+        if defective:
+            accepted.append(
+                (caps, defective, max(caps.net_couplings()) / calibration.cth)
+            )
+    return attempts, accepted
+
+
+def library_entries(library):
+    return library.attempts, [
+        (d.caps, d.defective_wires, d.severity) for d in library
+    ]
 
 
 @pytest.mark.parametrize("wires", [12, 8])
@@ -120,13 +160,56 @@ def test_accepted_defects_equal_perturbed_sets(wires):
     nominal = extract_capacitance(BusGeometry.edge_relaxed(wires))
     calibration = calibrate(nominal, ElectricalParams())
     library = generate_defect_library(nominal, calibration, count=200, seed=7)
-    rng = random.Random(7)
-    expected = []
-    for _ in range(library.attempts):
-        caps = nominal.perturbed(_perturbation_factors(nominal, rng, DEFAULT_SIGMA))
-        defective = calibration.defective_wires(caps)
-        if defective:
-            expected.append(
-                (caps, defective, max(caps.net_couplings()) / calibration.cth)
-            )
-    assert [(d.caps, d.defective_wires, d.severity) for d in library] == expected
+    assert library_entries(library) == perturbed_library(
+        nominal, calibration, 200, 7
+    )
+
+
+def test_library_of_a_non_neighbour_set():
+    # Wires 0-1-2 form a triangle (one non-neighbour coupling, 0-2) and the
+    # neighbour pair 2-3 is uncoupled: only coupled pairs draw a factor.
+    # No row has more than two couplings, so every net is the same float
+    # under Python 3.12's compensated ``sum`` too.
+    coupling = [[0.0] * 6 for _ in range(6)]
+    for (i, j), value in {
+        (0, 1): 40.0, (0, 2): 6.0, (1, 2): 35.0, (3, 4): 30.0, (4, 5): 45.0,
+    }.items():
+        coupling[i][j] = coupling[j][i] = value
+    nominal = CapacitanceSet(
+        coupling=tuple(map(tuple, coupling)), ground=(20.0,) * 6
+    )
+    assert nominal.reach == 2
+    calibration = calibrate(nominal, ElectricalParams())
+    library = generate_defect_library(nominal, calibration, count=150, seed=11)
+    assert library_entries(library) == perturbed_library(
+        nominal, calibration, 150, 11
+    )
+    assert fingerprint(library) == (
+        361, "c7b9e760e247e1234c9c773c8fc0f5d3dd2ae1b25c9e47ee67c287d4faba7b6b"
+    )
+
+
+def test_strict_library_spans_several_batches(setup):
+    caps, _ = setup
+    strict = calibrate(caps, ElectricalParams(), safety_factor=2.0)
+    library = generate_defect_library(caps, strict, count=12, seed=13)
+    assert library.attempts == 708 > 2 * BATCH_ATTEMPTS
+    assert library_entries(library) == perturbed_library(caps, strict, 12, 13)
+
+
+def test_attempt_budget_boundary(setup):
+    # The budget counts attempts up to the last accepted draw: exactly
+    # enough succeeds, one fewer fails with the same tally the loop saw.
+    caps, _ = setup
+    strict = calibrate(caps, ElectricalParams(), safety_factor=2.2)
+    attempts, entries = perturbed_library(caps, strict, 5, 17)
+    assert attempts == 988 and attempts % BATCH_ATTEMPTS
+    library = generate_defect_library(
+        caps, strict, count=5, seed=17, max_attempts=attempts
+    )
+    assert library_entries(library) == (attempts, entries)
+    message = rf"exhausted {attempts - 1} attempts \(4/5 defects"
+    with pytest.raises(RuntimeError, match=message):
+        generate_defect_library(
+            caps, strict, count=5, seed=17, max_attempts=attempts - 1
+        )
