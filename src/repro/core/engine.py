@@ -26,9 +26,11 @@ values; *how* a defect is judged is an engine concern:
        hook, and the hooked run starts just before it,
     5. and *dedups* the rest of the group against that replay in one
        pass: the replay records the ``transition -> received`` decisions
-       its run actually used, :func:`~repro.xtalk.screen.first_mismatch`
-       tests every pending defect of the group against them in one
-       gather from the same tables, and each
+       its run actually used (a map of the ones judged one at a time,
+       plus the arrays of every sled it jumped),
+       :func:`~repro.xtalk.screen.first_mismatch` tests every pending
+       defect of the group against them in one gather from the table
+       rows :meth:`ScreenedEngine.prepare` learned, and each
        defect whose kernel agrees on every one provably reproduces the
        run cycle for cycle, so it gets the replay's outcome without
        simulating (random capacitance perturbations cluster heavily —
@@ -54,7 +56,9 @@ work screening saved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core import signature
 from repro.core.program_builder import SelfTestProgram
@@ -72,7 +76,13 @@ from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
 from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.params import ElectricalParams
-from repro.xtalk.screen import ScreenVerdict, TraceScreen, first_mismatch
+from repro.xtalk.screen import (
+    DIRECTION_INDEX,
+    ScreenVerdict,
+    TraceScreen,
+    decision_tables,
+    first_mismatch,
+)
 
 
 def _bus_of(system: CpuMemorySystem, bus: str) -> Bus:
@@ -191,19 +201,23 @@ CLEAN_CHECK = ResponseCheck(detected=False, timed_out=False, mismatches=0)
 class _RecordingHook:
     """A replay's bus hook: the model's decisions, recorded for dedup.
 
-    :attr:`decisions` maps every transition the run consumed (``previous
-    != driven``: no-transition words corrupt for no kernel) to the word
-    received.  The batch form (``corrupt_many`` / ``consume``) lets the
-    system fast-forward through a sled; only the transitions the run
-    consumed are recorded, never the rest of a predicted sled, so the
-    map is exactly the one a stepped run builds.
+    :attr:`decisions` maps every transition the run judged one at a time
+    (``previous != driven``: no-transition words corrupt for no kernel)
+    to the word received.  The batch form (``corrupt_many`` /
+    ``consume``) lets the system fast-forward through a sled; it keeps
+    each consumed sled's arrays in :attr:`sleds`, never the rest of a
+    predicted sled, so :meth:`recorded` holds exactly the decisions a
+    stepped run makes (some of them more than once).
     """
 
-    __slots__ = ("model", "decisions", "_corrupt")
+    __slots__ = ("model", "decisions", "sleds", "_corrupt")
 
     def __init__(self, model: CrosstalkErrorModel):
         self.model = model
         self.decisions: Dict[Tuple[int, int, BusDirection], int] = {}
+        self.sleds: List[
+            Tuple[np.ndarray, np.ndarray, BusDirection, np.ndarray]
+        ] = []
         self._corrupt = model.corrupt
 
     def __call__(
@@ -215,20 +229,38 @@ class _RecordingHook:
         return received
 
     def corrupt_many(
-        self, transitions: Sequence[Tuple[int, int, BusDirection]]
-    ) -> List[int]:
-        return self.model.corrupt_many(transitions)
+        self, previous: np.ndarray, driven: np.ndarray, direction: BusDirection
+    ) -> np.ndarray:
+        return self.model.corrupt_many(previous, driven, direction)
 
     def consume(
         self,
-        transitions: Sequence[Tuple[int, int, BusDirection]],
-        received: Sequence[int],
+        previous: np.ndarray,
+        driven: np.ndarray,
+        direction: BusDirection,
+        received: np.ndarray,
     ) -> None:
+        self.sleds.append((previous, driven, direction, received))
+        self.model.consume(previous, driven, direction, received)
+
+    def recorded(self) -> List[np.ndarray]:
+        """``[previous, driven, directions, received]``: every decision
+        the run used, as int64 arrays (see
+        :func:`~repro.xtalk.screen.first_mismatch`)."""
         decisions = self.decisions
-        for transition, word in zip(transitions, received):
-            if transition[0] != transition[1]:
-                decisions[transition] = word
-        self.model.consume(transitions, received)
+        old, new, directions = zip(*decisions) if decisions else ((), (), ())
+        chunks = [(
+            np.array(old, dtype=np.int64),
+            np.array(new, dtype=np.int64),
+            np.array([DIRECTION_INDEX[d] for d in directions], dtype=np.int64),
+            np.array(list(decisions.values()), dtype=np.int64),
+        )]
+        chunks += [
+            (previous, driven, np.full(len(driven), DIRECTION_INDEX[direction]),
+             received)
+            for previous, driven, direction, received in self.sleds
+        ]
+        return [np.concatenate(column) for column in zip(*chunks)]
 
 
 class ScreenedEngine(SimulationEngine):
@@ -262,8 +294,9 @@ class ScreenedEngine(SimulationEngine):
         self._scratch = make_system(program, self._base_image)
         self.verdicts: Dict[int, ScreenVerdict] = {}
         # first corrupted trace index -> prepared defects of that group
-        # not judged yet, by defect index, in library order.
-        self._pending: Dict[int, Dict[int, Defect]] = {}
+        # not judged yet: defect index -> (decision table, its row), in
+        # library order.
+        self._pending: Dict[int, Dict[int, Tuple[np.ndarray, int]]] = {}
         # defect index -> outcome of a replay it provably reproduces.
         self._deduped: Dict[int, ResponseCheck] = {}
         self.last_model = None
@@ -285,11 +318,20 @@ class ScreenedEngine(SimulationEngine):
         ]
         for defect, verdict in zip(missing, self.screen.screen(missing)):
             self.verdicts[defect.index] = verdict
-        for defect in defects:
-            verdict = self.verdicts[defect.index]
-            if not verdict.clean and defect.index not in self._deduped:
-                group = self._pending.setdefault(verdict.first_index, {})
-                group[defect.index] = defect
+        pending = [
+            defect for defect in defects
+            if not self.verdicts[defect.index].clean
+            and defect.index not in self._deduped
+        ]
+        if not pending:
+            return
+        table, rows = decision_tables(
+            [defect.caps for defect in pending], self.params, self.calibration
+        )
+        for defect, row in zip(pending, rows.tolist()):
+            first_index = self.verdicts[defect.index].first_index
+            group = self._pending.setdefault(first_index, {})
+            group[defect.index] = (table, row)
 
     # -- judging ------------------------------------------------------------
 
@@ -332,22 +374,27 @@ class ScreenedEngine(SimulationEngine):
             bus.install_corruption_hook(None)
         self.last_model = model
         outcome = check_response(self.golden, system, result.halted)
-        decisions = hook.decisions
         if group:
             # Agreement must hold on *every* transition the recorded run
             # pushed through its hook, including the ones it left
             # intact: a defect that corrupts one more of them diverges
             # there.  A defect that agrees on all of them drives the
             # deterministic system through this run cycle for cycle.
-            others = list(group.values())
-            positions = first_mismatch(
-                list(decisions), list(decisions.values()), others,
-                self.params, self.calibration,
-            )
-            for other, position in zip(others, positions):
-                if position < 0:
-                    self._deduped[other.index] = outcome
-                    del group[other.index]
+            # Pending defects prepared together share one table.
+            by_table: Dict[int, Tuple[np.ndarray, List[int], List[int]]] = {}
+            for index, (table, row) in group.items():
+                _, indices, rows = by_table.setdefault(id(table), (table, [], []))
+                indices.append(index)
+                rows.append(row)
+            recorded = hook.recorded()
+            for table, indices, rows in by_table.values():
+                positions = first_mismatch(
+                    *recorded, table, np.array(rows, dtype=np.intp)
+                )
+                for index, position in zip(indices, positions.tolist()):
+                    if position < 0:
+                        self._deduped[index] = outcome
+                        del group[index]
         return outcome
 
 

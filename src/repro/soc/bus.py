@@ -72,11 +72,13 @@ class BusTransaction:
 #:
 #: A hook object may also offer a batch form, which lets
 #: :class:`~repro.soc.system.CpuMemorySystem` fast-forward a run through
-#: a stretch of transitions it can predict (DESIGN §5.9):
-#: ``corrupt_many(transitions) -> received words`` judges a list of
-#: ``(previous, driven, direction)`` triples without side effects, and
-#: ``consume(transitions, received)`` then tallies the prefix the run
-#: actually used, as one call each would have.
+#: a stretch of transitions it can predict (DESIGN §5.9).  Words travel
+#: as int64 numpy arrays, one direction per call:
+#: ``corrupt_many(previous, driven, direction) -> received`` judges the
+#: transitions ``previous[k] -> driven[k]`` without side effects, and
+#: ``consume(previous, driven, direction, received)`` then tallies the
+#: prefix the run actually used, as one call each would have.  The
+#: arrays passed to ``consume`` are the hook's to keep.
 CorruptionHook = Callable[[int, int, BusDirection], int]
 
 

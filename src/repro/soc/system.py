@@ -19,6 +19,8 @@ import enum
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cpu.datapath import BusPort, CpuSnapshot
 from repro.cpu.microcode import ZERO_LOAD_CYCLES, FastCpu
 from repro.isa.instructions import ADDR_BITS, DATA_BITS, MEMORY_SIZE
@@ -32,6 +34,12 @@ from repro.soc.mmio import MMIORegion
 #: Addresses the 12-bit program counter reaches; a sled stops short of
 #: the wrap to 0x000.
 _ADDRESS_SPACE = 1 << ADDR_BITS
+#: Row ``a``: the address-bus words an ``LDA 0x000`` at ``a`` drives,
+#: ``a``, ``a+1`` and ``0x000``.  A sled of ``k`` instructions from
+#: ``pc`` drives ``_SLED_WORDS[pc:pc + 2k:2]``.
+_SLED_WORDS = np.zeros((_ADDRESS_SPACE, 3), dtype=np.int64)
+_SLED_WORDS[:, 0] = np.arange(_ADDRESS_SPACE)
+_SLED_WORDS[:, 1] = np.arange(1, _ADDRESS_SPACE + 1)
 _TO_MEM = BusDirection.CPU_TO_MEM
 _TO_CPU = BusDirection.MEM_TO_CPU
 _FETCH = TransactionKind.FETCH
@@ -269,75 +277,83 @@ class CpuMemorySystem(BusPort):
         to the last whole instruction that fits in ``max_cycles``: each
         instruction drives ``pc``, ``pc+1`` and ``0x000`` on the address
         bus and reads ``M[received address]`` on the data bus.  One
-        batch call to ``hooked`` judges every predicted transition.  An
+        batch call to ``hooked`` judges the predicted transitions.  An
         instruction stays ``LDA 0x000`` while the bytes it actually
         fetches are zero (a corrupted fetch address that lands on
         another zero byte still fetches ``00``), so the run provably
         follows the prediction up to the first instruction that would
         fetch a nonzero byte.  The jump stops there, and the hook
         consumes only the transitions of the instructions jumped over.
+
+        An address-bus sled's words are a slice of :data:`_SLED_WORDS`.
+        A data-bus sled drives the same three words in every instruction
+        and only its first instruction starts from another held word, so
+        its first two instructions are judged and the rest repeat the
+        second.
         """
         cpu = self.cpu
-        memory = self.memory
-        cells = memory._cells
-        size = memory.size
+        cells = self.memory._cells
+        size = self.memory.size
         pc = cpu.pc
         count = (max_cycles - self.cycle) // ZERO_LOAD_CYCLES
         span = cells[pc:min(size, _ADDRESS_SPACE, pc + 2 * count)]
         count = (len(span) - len(span.lstrip(b"\0"))) // 2
         if not count:
             return 0
-        on_address_bus = hooked is self.address_bus
-        transitions: List[Tuple[int, int, BusDirection]] = []
-        append = transitions.append
-        if on_address_bus:
-            held = self.address_bus._value
-            for address in range(pc, pc + 2 * count, 2):
-                append((held, address, _TO_MEM))
-                append((address, address + 1, _TO_MEM))
-                append((address + 1, 0, _TO_MEM))
-                held = 0
-        else:
-            loaded = cells[0]
-            held = self.data_bus._value
-            for _ in range(count):
-                append((held, 0, _TO_CPU))
-                append((0, 0, _TO_CPU))
-                append((0, loaded, _TO_CPU))
-                held = loaded
         hook = hooked._corruption_hook
-        received = hook.corrupt_many(transitions)
-        taken = count
-        for instruction in range(count):
-            position = 3 * instruction
-            first, second = received[position], received[position + 1]
-            if on_address_bus:
-                first, second = cells[first % size], cells[second % size]
-            if first or second:
-                taken = instruction
-                break
-        if not taken:
-            return 0
-        consumed = 3 * taken
-        transitions = transitions[:consumed]
-        received = received[:consumed]
-        hook.consume(transitions, received)
-        corrupted = sum(
-            word != driven
-            for (_, driven, _), word in zip(transitions, received)
-        )
+        if hooked is self.address_bus:
+            direction = _TO_MEM
+            driven = _SLED_WORDS[pc:pc + 2 * count:2].ravel()
+        else:
+            direction = _TO_CPU
+            loaded = cells[0]
+            driven = np.array((0, 0, loaded, 0, 0, loaded), dtype=np.int64)
+        # Every transition starts from the word driven before it.
+        previous = np.empty_like(driven)
+        previous[0] = hooked._value
+        previous[1:] = driven[:-1]
+        received = hook.corrupt_many(previous, driven, direction)
+        if direction is _TO_MEM:
+            # Memory serves ``M[received address % size]``.
+            fetched = np.frombuffer(cells, dtype=np.uint8).take(
+                received.reshape(count, 3)[:, :2], mode="wrap"
+            )
+            hits = np.flatnonzero(fetched)
+            taken = int(hits[0]) >> 1 if hits.size else count
+            if not taken:
+                return 0
+            consumed = 3 * taken
+            previous = previous[:consumed]
+            driven = driven[:consumed]
+            received = received[:consumed]
+            corrupted = int(np.count_nonzero(received != driven))
+        else:
+            words = received.tolist()
+            if words[0] or words[1]:
+                return 0
+            taken = 1 if count > 1 and (words[3] or words[4]) else count
+            # Every fetch jumped over received its driven 0; every operand
+            # read is the same transition, 0 -> loaded.
+            corrupted = taken if words[2] != loaded else 0
+            previous = np.tile(previous[3:], taken)
+            previous[0] = hooked._value
+            driven = np.tile(driven[3:], taken)
+            received = np.tile(received[3:], taken)
+            received[:3] = words[:3]
+        hook.consume(previous, driven, direction, received)
+        last = int(received[-1])
         kinds = {_FETCH: 2 * taken, _OPERAND: taken}
-        if on_address_bus:
+        if direction is _TO_MEM:
             # The last operand read was served from its received address.
-            self._pending_address = received[-1]
-            operand = cells[received[-1] % size]
+            self._pending_address = last
+            operand = cells[last % size]
             self.address_bus.account(0, kinds, corrupted)
             self.data_bus.account(operand, kinds, 0)
         else:
             # The data bus settles on the driven M[0x000]; the CPU loads
             # the word it received.
             self._pending_address = 0
-            operand = received[-1]
+            operand = last
             self.address_bus.account(0, kinds, 0)
             self.data_bus.account(loaded, kinds, corrupted)
         cpu.retire_zero_loads(taken, operand)

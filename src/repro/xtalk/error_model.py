@@ -21,24 +21,27 @@ The per-wire decision itself lives in the shared pure
 precomputed into the capacitance domain at construction time, keeping
 the per-transition cost low — the defect simulator calls this hook
 millions of times).  The model adds the stateful parts: native tallies
-and the hook signature, plus the hook's batch form
-(:meth:`~CrosstalkErrorModel.corrupt_many`, one decision-table read,
-and :meth:`~CrosstalkErrorModel.consume`), which lets a replay jump
-through an empty-memory sled.  :class:`~repro.xtalk.screen.TraceScreen`
-uses the same tables to pre-screen whole defect libraries against a
-golden transaction trace without simulating anything.
+and the hook signature, plus the hook's batch form over int64 word
+arrays (:meth:`~CrosstalkErrorModel.corrupt_many`, one gather from the
+set's decision-table row, and :meth:`~CrosstalkErrorModel.consume`,
+which tallies with a popcount), which lets a replay jump through an
+empty-memory sled.  :class:`~repro.xtalk.screen.TraceScreen` uses the
+same tables to pre-screen whole defect libraries against a golden
+transaction trace without simulating anything.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.soc.bus import BusDirection
 from repro.xtalk.calibration import Calibration, calibrate
 from repro.xtalk.capacitance import CapacitanceSet
 from repro.xtalk.kernel import TransitionKernel, WireError
 from repro.xtalk.params import ElectricalParams
-from repro.xtalk.screen import decide_many
+from repro.xtalk.screen import decide_many, decision_tables
 
 __all__ = ["CrosstalkErrorModel", "WireError"]
 
@@ -77,6 +80,8 @@ class CrosstalkErrorModel:
         self.glitch_errors = 0
         self.delay_errors = 0
         self._decide = self.kernel.decide
+        # This set's flip row, looked up by the first corrupt_many call.
+        self._row: Optional[np.ndarray] = None
 
     @classmethod
     def nominal(
@@ -108,36 +113,47 @@ class CrosstalkErrorModel:
         return received
 
     def corrupt_many(
-        self, transitions: Sequence[Tuple[int, int, BusDirection]]
-    ) -> List[int]:
+        self, previous: np.ndarray, driven: np.ndarray, direction: BusDirection
+    ) -> np.ndarray:
         """The word the receiver samples for each transition, in order.
 
-        The batch form of :meth:`corrupt` (one decision-table gather,
-        see :func:`~repro.xtalk.screen.decide_many`).  It tallies nothing:
+        The batch form of :meth:`corrupt` over the int64 arrays
+        ``previous`` and ``driven`` of transitions in one ``direction``:
+        one gather from this set's flip row (see
+        :func:`~repro.xtalk.screen.decide_many`).  It tallies nothing:
         the caller passes the transitions its run actually used to
         :meth:`consume`.
         """
-        return decide_many(transitions, self.caps, self.params, self.calibration)
+        row = self._row
+        if row is None:
+            table, rows = decision_tables(
+                [self.caps], self.params, self.calibration
+            )
+            row = self._row = table[rows[0]]
+        return decide_many(previous, driven, direction, row)
 
     def consume(
         self,
-        transitions: Sequence[Tuple[int, int, BusDirection]],
-        received: Sequence[int],
+        previous: np.ndarray,
+        driven: np.ndarray,
+        direction: BusDirection,
+        received: np.ndarray,
     ) -> None:
-        """Tally ``transitions`` with the words :meth:`corrupt_many` gave,
-        exactly as one :meth:`corrupt` call each would have.
+        """Tally the transitions with the words :meth:`corrupt_many`
+        gave, exactly as one :meth:`corrupt` call each would have.
 
         A flipped wire that was switching is a delay error (the receiver
         sampled its old value); a flipped stable wire is a glitch error.
         """
         self.invocations += len(received)
-        for (previous, driven, _), word in zip(transitions, received):
-            if word != driven:
-                flips = word ^ driven
-                changed = previous ^ driven
-                self.corruptions += 1
-                self.glitch_errors += bin(flips & ~changed).count("1")
-                self.delay_errors += bin(flips & changed).count("1")
+        flips = received ^ driven
+        corruptions = int(np.count_nonzero(flips))
+        if corruptions:
+            flipped = int(np.bitwise_count(flips).sum())
+            delays = int(np.bitwise_count(flips & (previous ^ driven)).sum())
+            self.corruptions += corruptions
+            self.glitch_errors += flipped - delays
+            self.delay_errors += delays
 
     def stats(self) -> Dict[str, int]:
         """The native tallies, keyed by metric suffix."""

@@ -25,13 +25,17 @@ previous and driven bits of wires *i*-1, *i* and *i*+1: one of 64
 windows.  :func:`decision_tables` evaluates a library once over all
 ``2 directions x n wires x 64 windows`` with the kernel's own float
 operations in the kernel's own order, so every entry equals
-:meth:`TransitionKernel.decide` bit for bit.  :func:`first_mismatch`
-gathers a transition list's unique ``(window, required flip)`` pairs
-(at most ``2 x 2 x n x 64``) for every defect and reports each defect's
+:meth:`TransitionKernel.decide` bit for bit.  Transitions travel as
+int64 word arrays, and a transition's table columns are two gathers
+from window tables over the bus's whole word space
+(:func:`_word_windows`, 4K words for the 12-wire address bus).
+:func:`first_mismatch` scatters a transition list's ``(window, required
+flip)`` pairs (at most ``2 x 2 x n x 64``) to their first occurrence,
+gathers the present ones for every defect and reports each defect's
 first transition whose received word differs from a target: the driven
 words for :meth:`TraceScreen.screen`, a recorded replay's received
 words for the engine's replay dedup.  :func:`decide_many` reads one
-set's received words for a list, the error model's batch hook for a
+set's received words for an array, the error model's batch hook for a
 replay fast-forwarding through an empty-memory sled.
 
 :meth:`TraceScreen.screen_one` is the scalar reference: one
@@ -110,6 +114,11 @@ def _build(
                 "nearest-neighbour coupling only"
             )
     count, width = len(caps), caps[0].wire_count
+    if width > MAX_WIRES:
+        raise ValueError(
+            f"a {width}-wire bus is wider than the {MAX_WIRES} wires "
+            "decision tables serve"
+        )
     left = np.zeros((count, width))
     right = np.zeros((count, width))
     if width > 1:
@@ -187,92 +196,122 @@ def decision_tables(
     return table, np.arange(len(caps))
 
 
-def _columns(
-    transitions: Sequence[Tuple[int, int, BusDirection]], width: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The previous and driven words of a transition list, and its
-    ``[T, n]`` table columns: each transition's window at each wire."""
-    old, new, directions = zip(*transitions)
-    previous = np.array(old, dtype=np.int64)
-    driven = np.array(new, dtype=np.int64)
-    shifts, mask = np.arange(width), (1 << width) - 1
-    before = (((previous & mask) << 1)[:, None] >> shifts) & 7
-    after = (((driven & mask) << 1)[:, None] >> shifts) & 7
-    mem_to_cpu = BusDirection.MEM_TO_CPU
-    reverse = np.array([d is mem_to_cpu for d in directions], dtype=np.int64)
-    columns = ((reverse[:, None] * width + shifts) << 6) | (before << 3) | after
-    return previous, driven, columns
+#: Each direction's index in a flip row (see :func:`decision_tables`).
+DIRECTION_INDEX = {BusDirection.CPU_TO_MEM: 0, BusDirection.MEM_TO_CPU: 1}
+
+#: The widest bus the decision tables serve: :func:`_word_windows`
+#: spans every word of the bus.
+MAX_WIRES = 16
+
+#: ``width -> (before, after)``, see :func:`_word_windows`.
+_WORD_WINDOWS: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _word_windows(width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``width``-bit word's ``[n]`` windows, as table-column
+    parts: ``before[previous] | after[driven]`` is a ``CPU_TO_MEM``
+    transition's column at each wire (``MEM_TO_CPU`` adds ``n * 64``).
+
+    A wire's window is bits *i*-1 .. *i*+1 of the word, so ``after`` is
+    that 3-bit field and ``before`` holds it shifted over the driven
+    field, plus the wire's block ``i * 64``.  Built once per width: 4K
+    words for the 12-wire address bus.
+    """
+    tables = _WORD_WINDOWS.get(width)
+    if tables is None:
+        words = np.arange(1 << width, dtype=np.int32) << 1
+        after = np.empty((words.size, width), dtype=np.int16)
+        for wire in range(width):
+            after[:, wire] = (words >> wire) & 7
+        before = after << 3
+        before |= np.arange(width, dtype=np.int16) << 6
+        tables = _WORD_WINDOWS[width] = (before, after)
+    return tables
+
+
+def _columns(previous: np.ndarray, driven: np.ndarray, width: int) -> np.ndarray:
+    """The ``[T, n]`` ``CPU_TO_MEM`` table columns of transitions
+    between ``width``-bit words: each transition's window at each wire."""
+    before, after = _word_windows(width)
+    return before.take(previous, axis=0) | after.take(driven, axis=0)
 
 
 def first_mismatch(
-    transitions: Sequence[Tuple[int, int, BusDirection]],
-    targets: Sequence[int],
-    defects: Sequence[Defect],
-    params: ElectricalParams,
-    calibration: Calibration,
-) -> List[int]:
-    """Each defect's first transition whose received word is not its target.
+    previous: np.ndarray,
+    driven: np.ndarray,
+    directions: np.ndarray,
+    targets: np.ndarray,
+    table: np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Each set's first transition whose received word is not its target.
 
-    For every defect, the kernel's received word is computed for
-    ``transitions`` in order and compared with ``targets`` (one word per
-    transition); the result is the position of the first difference, or
-    ``-1`` when the defect reproduces every target.  The library screen
-    asks with ``targets`` equal to the driven words (first corrupted
-    transition); the engine's replay dedup asks with the words a recorded
-    replay received (first disagreement with that run).
+    The transitions are the int64 arrays ``previous``, ``driven`` and
+    ``directions`` (:data:`DIRECTION_INDEX` values); the sets are
+    ``table[rows]`` (see :func:`decision_tables`).  For every set, the
+    kernel's received word is computed for the transitions in order and
+    compared with ``targets`` (one word per transition); the result is
+    the position of the first difference, or ``-1`` when the set
+    reproduces every target.  The library screen asks with ``targets``
+    equal to the driven words (first corrupted transition); the engine's
+    replay dedup asks with the words a recorded replay received (first
+    disagreement with that run).
 
     Each ``(transition, wire)`` is a table column plus the flip its
-    target requires.  Only the first occurrence of each unique pair can
-    be a defect's first mismatch, so the pairs, sorted by first
-    occurrence, are gathered once for every defect and a defect's first
-    mismatching pair gives its position.  A transition with ``previous
-    == driven`` is received as driven by every defect.
+    target requires: one of ``2 x 2 x n x 64`` pairs.  Only the first
+    occurrence of each pair can be a set's first mismatch, so one
+    scatter finds every present pair's first occurrence, the present
+    pairs, sorted by it, are gathered once for every set, and a set's
+    first mismatching pair gives its position.  A transition with
+    ``previous == driven`` is received as driven by every set.
     """
-    if not defects:
-        return []
-    table, rows = decision_tables([d.caps for d in defects], params, calibration)
-    first = np.full(len(defects), -1, dtype=np.int64)
-    if not transitions:
-        return first.tolist()
-    width = defects[0].caps.wire_count
-    previous, driven, columns = _columns(transitions, width)
-    wanted = np.array(targets, dtype=np.int64)
-    required = ((driven ^ wanted)[:, None] >> np.arange(width)) & 1
-    pairs = (columns << 1) | required
+    first = np.full(len(rows), -1, dtype=np.int64)
     moving = np.flatnonzero(previous != driven)
-    pairs, occurrence = np.unique(pairs[moving], return_index=True)
-    if pairs.size:
-        order = np.argsort(occurrence, kind="stable")
-        pairs, at = pairs[order], moving[occurrence[order] // width]
-        mismatch = table[rows[:, None], pairs >> 1]  # [D, K] bool
-        mismatch ^= (pairs & 1).astype(bool)
+    if moving.size and first.size:
+        width = table.shape[1] >> 7
+        shifts = np.arange(width)
+        old, new = previous[moving], driven[moving]
+        required = ((new ^ targets[moving])[:, None] >> shifts) & 1
+        columns = _columns(old, new, width) + (
+            directions[moving] * (width << 6)
+        )[:, None]
+        pairs = ((columns << 1) | required).ravel()
+        # seen[pair]: the pair's first index in ``pairs``, whose
+        # transition is ``moving[index // width]``.
+        seen = np.full(width << 8, pairs.size, dtype=np.int64)
+        np.minimum.at(seen, pairs, np.arange(pairs.size))
+        present = np.flatnonzero(seen < pairs.size)
+        present = present[np.argsort(seen[present])]
+        at = moving[seen[present] // width]
+        mismatch = table[rows[:, None], present >> 1]  # [D, K] bool
+        mismatch ^= (present & 1).astype(bool)
         first = np.where(mismatch.any(axis=1), at[mismatch.argmax(axis=1)], -1)
-    stuck = np.flatnonzero((previous == driven) & (wanted != driven))
+    stuck = np.flatnonzero((previous == driven) & (targets != driven))
     if stuck.size:
         first[(first < 0) | (first > stuck[0])] = stuck[0]
-    return first.tolist()
+    return first
 
 
 def decide_many(
-    transitions: Sequence[Tuple[int, int, BusDirection]],
-    caps: CapacitanceSet,
-    params: ElectricalParams,
-    calibration: Calibration,
-) -> List[int]:
+    previous: np.ndarray,
+    driven: np.ndarray,
+    direction: BusDirection,
+    row: np.ndarray,
+) -> np.ndarray:
     """The received word of every transition, for one capacitance set.
 
-    The table form of ``TransitionKernel(caps, params,
-    calibration).decide(...)[0]`` over a whole list: one gather from the
-    flip row of ``caps``, which equals that kernel entry for entry.  A
-    transition with ``previous == driven`` is received as driven.
+    ``previous`` and ``driven`` are int64 arrays of transitions made in
+    one ``direction``; ``row`` is the set's flip row (one row of
+    :func:`decision_tables`).  The table form of ``TransitionKernel(caps,
+    params, calibration).decide(...)[0]``: one gather from the row,
+    which equals that kernel entry for entry.  A transition with
+    ``previous == driven`` is received as driven.
     """
-    if not transitions:
-        return []
-    table, rows = decision_tables([caps], params, calibration)
-    previous, driven, columns = _columns(transitions, caps.wire_count)
-    flips = table[rows[0]][columns]
+    width = row.size >> 7
+    block = DIRECTION_INDEX[direction] * (width << 6)
+    flips = row[block:block + (width << 6)].take(_columns(previous, driven, width))
     flips[previous == driven] = False
-    return (driven ^ (flips @ (1 << np.arange(caps.wire_count)))).tolist()
+    return driven ^ (flips @ (1 << np.arange(width)))
 
 
 @dataclass(frozen=True)
@@ -332,6 +371,13 @@ class TraceScreen:
         self._uniques = list(seen)
         self._first_occurrence = list(seen.values())
         self._cycles = [trace[index].cycle for index in self._first_occurrence]
+        self._previous, self._driven, self._directions = np.array(
+            [
+                (previous, driven, DIRECTION_INDEX[direction])
+                for previous, driven, direction in self._uniques
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3).T.copy()
 
     @property
     def unique_transitions(self) -> int:
@@ -368,11 +414,16 @@ class TraceScreen:
     def screen(self, defects: Iterable[Defect]) -> List[ScreenVerdict]:
         """Evaluate every defect; one table gather for the library."""
         defects = list(defects)
+        if not defects:
+            return []
+        table, rows = decision_tables(
+            [defect.caps for defect in defects], self.params, self.calibration
+        )
         positions = first_mismatch(
-            self._uniques, [driven for _, driven, _ in self._uniques],
-            defects, self.params, self.calibration,
+            self._previous, self._driven, self._directions, self._driven,
+            table, rows,
         )
         return [
             self._verdict(defect, position)
-            for defect, position in zip(defects, positions)
+            for defect, position in zip(defects, positions.tolist())
         ]

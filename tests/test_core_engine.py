@@ -197,6 +197,39 @@ def test_replay_dedup_collapses_defect_classes(
     assert len(resumes) == replayed
 
 
+def test_dedup_across_separately_prepared_defects(builder, addr_setup):
+    """Defects prepared in two calls read two decision tables; groups
+    that hold both still dedup against one replay, exactly."""
+    from dataclasses import replace
+
+    from repro.xtalk.capacitance import CapacitanceSet
+
+    faults = [f for f in builder.address_faults() if f.victim == 5]
+    program = builder.build_address_bus_program(faults)
+    exact = outcomes(program, addr_setup, "addr", engine="exact")
+    # Fresh sets: nothing cached, so each prepare builds its own table.
+    defects = [
+        replace(d, caps=CapacitanceSet(d.caps.coupling, d.caps.ground))
+        for d in addr_setup.library.defects
+    ]
+    engine = ScreenedEngine(
+        program, addr_setup.params, addr_setup.calibration, "addr"
+    )
+    half = len(defects) // 2
+    engine.prepare(defects[:half])
+    engine.prepare(defects[half:])
+    assert any(
+        len({id(table) for table, _ in group.values()}) == 2
+        for group in engine._pending.values()
+    )
+    assert run_defects(engine, defects, "addr") == exact
+    # The same defects are deduped as when one table holds them all.
+    reference = campaign(program, addr_setup, "addr", "screened").build_engine()
+    run_defects(reference, addr_setup.library, "addr")
+    assert engine._deduped
+    assert engine._deduped == reference._deduped
+
+
 def test_couplings_beyond_neighbours_fail_prepare_not_the_oracle(
     addr_program, addr_setup
 ):

@@ -1,7 +1,9 @@
 """Sled fast-forward: a jump over ``00 00`` (``LDA 0x000``) instructions
 must leave the system exactly where stepping them would."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.obs import runtime as obs_runtime
 from repro.soc.bus import BusDirection
@@ -27,15 +29,27 @@ class BatchHook:
         self.log.append(((previous, driven, direction), received))
         return received
 
-    def corrupt_many(self, transitions):
-        return [self.decide(*transition) for transition in transitions]
+    def corrupt_many(self, previous, driven, direction):
+        assert previous.dtype == driven.dtype == np.int64
+        return np.array(
+            [
+                self.decide(old, new, direction)
+                for old, new in zip(previous.tolist(), driven.tolist())
+            ],
+            dtype=np.int64,
+        )
 
-    def consume(self, transitions, received):
-        self.log.extend(zip(transitions, received))
+    def consume(self, previous, driven, direction, received):
+        self.log.extend(
+            ((old, new, direction), word)
+            for old, new, word in zip(
+                previous.tolist(), driven.tolist(), received.tolist()
+            )
+        )
 
 
 class RefusingHook(BatchHook):
-    def corrupt_many(self, transitions):
+    def corrupt_many(self, previous, driven, direction):
         raise AssertionError("this system must not fast-forward")
 
 
@@ -44,14 +58,16 @@ def fast_forwarded(session):
     return metric["value"] if metric else 0
 
 
-def run_both(bus, decide, max_cycles=10_000, image=SLED):
-    """Run ``image`` with a batch hook and stepped with a plain one."""
+def compare(bus, decide, max_cycles=10_000, image=SLED, entry=ENTRY):
+    """Run ``image`` with a batch hook and stepped with a plain one;
+    both runs must end alike, in the same state, having judged the same
+    transitions.  The result, fast system and cycles skipped."""
     fast = CpuMemorySystem()
     fast.load_image(image)
     hook = BatchHook(decide)
     getattr(fast, bus).install_corruption_hook(hook)
     with obs_runtime.session() as session:
-        fast_result = fast.run(entry=ENTRY, max_cycles=max_cycles)
+        fast_result = fast.run(entry=entry, max_cycles=max_cycles)
     stepped = CpuMemorySystem()
     stepped.load_image(image)
     log = []
@@ -62,14 +78,19 @@ def run_both(bus, decide, max_cycles=10_000, image=SLED):
         return received
 
     getattr(stepped, bus).install_corruption_hook(plain)
-    stepped_result = stepped.run(entry=ENTRY, max_cycles=max_cycles)
+    stepped_result = stepped.run(entry=entry, max_cycles=max_cycles)
     assert fast_result == stepped_result
     assert fast.snapshot() == stepped.snapshot()
     # Only the transitions the run consumed are judged into the log.
     assert hook.log == log
-    skipped = fast_forwarded(session)
+    return fast_result, fast, fast_forwarded(session)
+
+
+def run_both(bus, decide, max_cycles=10_000, image=SLED, entry=ENTRY):
+    """:func:`compare`, for a run that must fast-forward."""
+    result, system, skipped = compare(bus, decide, max_cycles, image, entry)
     assert skipped > 0
-    return fast_result, fast, skipped
+    return result, system, skipped
 
 
 def corrupt_one(transition, received):
@@ -89,25 +110,28 @@ def test_clean_sled_is_jumped_whole():
 
 
 @pytest.mark.parametrize(
-    "transition, received",
+    "transition, received, skipped_instructions",
     [
         # The operand address of the sled's 33rd instruction reads the
         # jmp opcode at 0x010 instead of M[0x000]; the sled goes on.
-        ((0x241, 0x000), 0x010),
+        ((0x241, 0x000), 0x010, 128),
         # A fetch address lands on another zero byte: still ``00``.
-        ((0x240, 0x241), 0x2A1),
+        ((0x240, 0x241), 0x2A1, 128),
         # A fetch address lands on the halt jump's opcode: the sled
         # stops there and the CPU executes ``jmp 0x300``.
-        ((0x000, 0x240), 0x300),
+        ((0x000, 0x240), 0x300, 32),
     ],
     ids=["operand", "fetch-onto-zero", "fetch-onto-code"],
 )
-def test_sled_with_one_corrupted_transaction(transition, received):
+def test_sled_with_one_corrupted_transaction(
+    transition, received, skipped_instructions
+):
     result, system, skipped = run_both(
         "address_bus", corrupt_one(transition, received)
     )
     assert result.halted
     assert system.address_bus.snapshot().corrupted == 1
+    assert skipped == 8 * skipped_instructions
 
 
 #: The entry jump takes 6 cycles, then every sled instruction 8: budgets
@@ -159,6 +183,123 @@ def test_data_bus_sled_into_the_budget(budget):
         "data_bus", corrupt_one((0x00, 0x85), 0x84), max_cycles=budget
     )
     assert result.end is RunEnd.BUDGET
+
+
+#: ``jmp 0x201`` from the entry: a sled at odd addresses up to the
+#: halt ``jmp 0x301``, 128 instructions.
+ODD_SLED = {0x000: 0x85, 0x010: 0x82, 0x011: 0x01, 0x301: 0x83, 0x302: 0x01}
+
+
+@pytest.mark.parametrize(
+    "transition, received, skipped_instructions",
+    [
+        (None, 0, 128),
+        # The 17th instruction's second fetch reads the halt's opcode:
+        # it is ``lda 0x083``, stepped, and the sled goes on after it.
+        ((0x221, 0x222), 0x301, 127),
+        # An operand address reads the entry jump's operand byte.
+        ((0x250, 0x000), 0x011, 128),
+    ],
+    ids=["clean", "fetch-onto-code", "operand"],
+)
+def test_sled_from_an_odd_pc(transition, received, skipped_instructions):
+    result, system, skipped = run_both(
+        "address_bus", corrupt_one(transition, received), image=ODD_SLED
+    )
+    assert result.halted
+    assert skipped == 8 * skipped_instructions
+
+
+#: ``jmp 0x2A0``: the data bus holds 0xA0, the jump's operand byte, when
+#: the sled starts, so its first instruction fetches from another held
+#: word than the rest.  M[0x000] = 0x85 is the operand every
+#: instruction loads.
+HELD_SLED = {0x000: 0x85, 0x010: 0x82, 0x011: 0xA0, 0x300: 0x83, 0x301: 0x00}
+
+
+@pytest.mark.parametrize(
+    "transition, received, skipped_instructions",
+    [
+        # The first fetch, 0xA0 -> 0x00, is received as ``jmp``: no sled.
+        ((0xA0, 0x00), 0x83, 0),
+        # Every operand read, 0x00 -> 0x85, is received as 0x05.
+        ((0x00, 0x85), 0x05, 48),
+        # Every later instruction's first fetch, 0x85 -> 0x00, is received
+        # as ``jmp``: the sled stops after one instruction.
+        ((0x85, 0x00), 0x83, 1),
+        # The second fetch of every instruction, 0x00 -> 0x00, reads as
+        # ``lda 0x010``: a pure hook may corrupt a word that does not move.
+        ((0x00, 0x00), 0x10, 0),
+    ],
+    ids=["first-fetch", "operand", "later-fetch", "quiet-fetch"],
+)
+def test_data_bus_sled_from_another_held_word(
+    transition, received, skipped_instructions
+):
+    result, system, skipped = compare(
+        "data_bus", corrupt_one(transition, received), image=HELD_SLED
+    )
+    assert result.halted
+    assert skipped == 8 * skipped_instructions
+
+
+def test_data_bus_sled_of_one_instruction():
+    # Zeros only at 0x2FE-0x2FF: one instruction, then the halt.
+    image = {0x000: 0x85, 0x010: 0x82, 0x011: 0xFE, 0x300: 0x83, 0x301: 0x00}
+    result, system, skipped = run_both(
+        "data_bus", corrupt_one((0x85, 0x00), 0x83), image=image
+    )
+    assert result.halted
+    assert skipped == 8
+    assert system.cpu.ac == 0x85
+
+
+def mix(*words):
+    """A deterministic 32-bit hash of small integers."""
+    value = 0x811C9DC5
+    for word in words:
+        value = ((value ^ word) * 0x01000193) & 0xFFFFFFFF
+        value ^= value >> 13
+    return value
+
+
+@st.composite
+def sparse_runs(draw):
+    """A bus, a mostly-zero image with a few random bytes, an entry, a
+    budget and a random pure hook (a hash of the transition decides
+    whether it is corrupted and how)."""
+    bus = draw(st.sampled_from(["address_bus", "data_bus"]))
+    image = draw(
+        st.dictionaries(
+            st.integers(0, 0xFFF), st.integers(0, 0xFF), max_size=24
+        )
+    )
+    entry = draw(st.integers(0, 0xFFF))
+    max_cycles = draw(st.integers(1, 4000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rate = draw(st.integers(1, 64))
+    mask = 0xFFF if bus == "address_bus" else 0xFF
+
+    def decide(previous, driven, direction):
+        value = mix(seed, previous, driven, direction is BusDirection.MEM_TO_CPU)
+        if value % rate:
+            return driven
+        return driven ^ ((value >> 8) & mask)
+
+    return bus, image, entry, max_cycles, decide
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(run=sparse_runs())
+def test_fast_run_equals_stepped_run(run):
+    """Random sparse images and random pure hooks on either bus: the
+    fast run ends alike, in the same state, having consumed the same
+    transitions as the stepped one (:func:`compare`)."""
+    bus, image, entry, max_cycles, decide = run
+    compare(bus, decide, max_cycles, image, entry)
 
 
 def _refused(system, bus="address_bus"):
@@ -234,17 +375,17 @@ def test_batch_transitions_are_the_predicted_bus_words():
     hook = BatchHook(corrupt_one(None, 0))
     batches = []
 
-    def corrupt_many(transitions):
-        batches.append(list(transitions))
-        return [driven for _, driven, _ in transitions]
+    def corrupt_many(previous, driven, direction):
+        batches.append((previous.tolist(), driven.tolist(), direction))
+        return driven.copy()
 
     hook.corrupt_many = corrupt_many
     system.address_bus.install_corruption_hook(hook)
     system.run(entry=ENTRY, max_cycles=10_000)
-    (batch,) = batches
-    to_mem = BusDirection.CPU_TO_MEM
-    assert batch[:6] == [
-        (0x011, 0x200, to_mem), (0x200, 0x201, to_mem), (0x201, 0x000, to_mem),
-        (0x000, 0x202, to_mem), (0x202, 0x203, to_mem), (0x203, 0x000, to_mem),
+    ((previous, driven, direction),) = batches
+    assert direction is BusDirection.CPU_TO_MEM
+    assert list(zip(previous, driven))[:6] == [
+        (0x011, 0x200), (0x200, 0x201), (0x201, 0x000),
+        (0x000, 0x202), (0x202, 0x203), (0x203, 0x000),
     ]
-    assert len(batch) == 3 * 128
+    assert len(driven) == 3 * 128

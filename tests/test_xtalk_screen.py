@@ -4,6 +4,7 @@ first-corruption exactness, dedup."""
 import random
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from repro.xtalk.params import ElectricalParams
 from repro.xtalk.kernel import TransitionKernel
 from repro.core.engine import capture_golden_with_trace
 from repro.xtalk.screen import (
+    DIRECTION_INDEX,
     TraceScreen,
     decide_many,
     decision_tables,
@@ -25,6 +27,35 @@ from repro.xtalk.screen import (
 
 WIDTH = 8
 ONES = (1 << WIDTH) - 1
+DIRECTIONS = (BusDirection.CPU_TO_MEM, BusDirection.MEM_TO_CPU)
+
+
+def columns_of(transitions):
+    """The int64 previous, driven and direction-index arrays of a list
+    of ``(previous, driven, direction)`` triples."""
+    rows = [(p, d, DIRECTION_INDEX[direction]) for p, d, direction in transitions]
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy())
+
+
+def mismatches(transitions, targets, defects, params, calibration):
+    """``first_mismatch`` over triples and defects, as a list."""
+    table, rows = decision_tables([d.caps for d in defects], params, calibration)
+    return first_mismatch(
+        *columns_of(transitions), np.array(targets, dtype=np.int64), table, rows
+    ).tolist()
+
+
+def decisions_of(transitions, caps, params, calibration):
+    """``decide_many`` over triples of both directions, as a list."""
+    table, rows = decision_tables([caps], params, calibration)
+    previous, driven, directions = columns_of(transitions)
+    received = driven.copy()
+    for direction in DIRECTIONS:
+        at = directions == DIRECTION_INDEX[direction]
+        received[at] = decide_many(
+            previous[at], driven[at], direction, table[rows[0]]
+        )
+    return received.tolist()
 
 
 @dataclass(frozen=True)
@@ -172,7 +203,7 @@ def test_first_mismatch_matches_scalar_kernel(setup, trace):
     decisions = recorded_decisions(trace, recorder, params, calibration)
     transitions = [t for t, _ in decisions]
     targets = [r for _, r in decisions]
-    positions = first_mismatch(
+    positions = mismatches(
         transitions, targets, library.defects, params, calibration
     )
     for defect, position in zip(library, positions):
@@ -189,7 +220,7 @@ def test_first_mismatch_matches_scalar_kernel(setup, trace):
         assert position == scalar, defect.index
     assert len({position for position in positions if position >= 0}) > 1
     # The recording defect agrees with its own recorded decisions.
-    assert first_mismatch(
+    assert mismatches(
         transitions, targets, [recorder], params, calibration
     ) == [-1]
 
@@ -198,16 +229,22 @@ def test_batch_model_matches_scalar_model(setup, trace):
     """corrupt_many + consume give the words and tallies of one corrupt
     call per transition, no-transition words included."""
     _, params, calibration, library = setup
-    transitions = [(t.previous, t.driven, t.direction) for t in trace]
     totals = {"corruptions": 0, "glitch_errors": 0, "delay_errors": 0}
     for defect in library.defects:
         scalar = CrosstalkErrorModel(defect.caps, params, calibration)
-        words = [scalar.corrupt(*transition) for transition in transitions]
         batch = CrosstalkErrorModel(defect.caps, params, calibration)
-        received = batch.corrupt_many(transitions)
-        assert batch.invocations == 0  # the batch call tallies nothing
-        batch.consume(transitions, received)
-        assert received == words
+        for direction in DIRECTIONS:
+            transitions = [
+                (t.previous, t.driven, direction) for t in trace
+                if t.direction is direction
+            ]
+            words = [scalar.corrupt(*transition) for transition in transitions]
+            previous, driven, _ = columns_of(transitions)
+            before = batch.stats()
+            received = batch.corrupt_many(previous, driven, direction)
+            assert batch.stats() == before  # the batch call tallies nothing
+            batch.consume(previous, driven, direction, received)
+            assert received.tolist() == words
         assert batch.stats() == scalar.stats()
         for name in totals:
             totals[name] += scalar.stats()[name]
@@ -215,8 +252,6 @@ def test_batch_model_matches_scalar_model(setup, trace):
 
 
 # -- decision tables against the scalar kernel ---------------------------------
-
-DIRECTIONS = (BusDirection.CPU_TO_MEM, BusDirection.MEM_TO_CPU)
 
 
 @st.composite
@@ -326,7 +361,7 @@ def test_first_mismatch_and_decide_many_match_a_scalar_loop(library, data):
     )
     kernels = [TransitionKernel(d.caps, params, calibration) for d in defects]
     for defect, kernel in zip(defects, kernels):
-        assert decide_many(transitions, defect.caps, params, calibration) == [
+        assert decisions_of(transitions, defect.caps, params, calibration) == [
             kernel.decide(*transition)[0] for transition in transitions
         ]
     recorder = data.draw(st.sampled_from(kernels))
@@ -340,7 +375,7 @@ def test_first_mismatch_and_decide_many_match_a_scalar_loop(library, data):
             )
         ):
             targets[position] ^= flips
-    assert first_mismatch(
+    assert mismatches(
         transitions, targets, defects, params, calibration
     ) == [scalar_first_mismatch(transitions, targets, k) for k in kernels]
 
@@ -360,12 +395,68 @@ def test_long_lists_match_a_scalar_loop(address_setup):
     targets[2900] ^= 1 << 5
     expected = [scalar_first_mismatch(transitions, targets, k) for k in kernels]
     assert expected[0] == 2900
-    assert first_mismatch(
+    assert mismatches(
         transitions, targets, defects, params, calibration
     ) == expected
-    assert decide_many(transitions, defects[3].caps, params, calibration) == [
+    assert decisions_of(transitions, defects[3].caps, params, calibration) == [
         kernels[3].decide(*transition)[0] for transition in transitions
     ]
+
+
+def sled_shaped(rng, width):
+    """A few windows repeated over and over, as sled jumps record them:
+    an address-bus sled's words and a data-bus sled's six transitions,
+    tiled, with a stretch of random transitions between them."""
+    to_mem, to_cpu = DIRECTIONS
+    mask = (1 << width) - 1
+    start = rng.randrange(0, mask - 600) & ~1
+    address = [(0, start, to_mem)]
+    for pc in range(start, start + 600, 2):
+        address += [(pc, pc + 1, to_mem), (pc + 1, 0, to_mem), (0, pc + 2, to_mem)]
+    loaded = rng.randrange(1, 256) & mask
+    data = [(0x5A & mask, 0, to_cpu), (0, 0, to_cpu), (0, loaded, to_cpu)]
+    data += [(loaded, 0, to_cpu), (0, 0, to_cpu), (0, loaded, to_cpu)] * 300
+    noise = [
+        (rng.getrandbits(width), rng.getrandbits(width), rng.choice(DIRECTIONS))
+        for _ in range(50)
+    ]
+    return address + noise + data + address
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sled_shaped_lists_match_a_scalar_loop(address_setup, seed):
+    """Heavy repeats: the same windows on thousands of transitions, with
+    targets that first differ at a repeat of an early transition, so a
+    position that is not a first occurrence shows."""
+    rng = random.Random(seed)
+    params, calibration = address_setup.params, address_setup.calibration
+    defects = address_setup.library.defects
+    transitions = sled_shaped(rng, 12)
+    kernels = [TransitionKernel(d.caps, params, calibration) for d in defects]
+    recorder = kernels[seed]
+    targets = [recorder.decide(*transition)[0] for transition in transitions]
+    for _ in range(seed % 3):
+        targets[rng.randrange(len(targets))] ^= 1 << rng.randrange(12)
+    expected = [scalar_first_mismatch(transitions, targets, k) for k in kernels]
+    assert expected[seed] == -1 or seed % 3
+    assert len(set(expected)) > 1
+    assert mismatches(
+        transitions, targets, defects, params, calibration
+    ) == expected
+
+
+def test_empty_lists(address_setup):
+    params, calibration = address_setup.params, address_setup.calibration
+    defects = address_setup.library.defects[:5]
+    assert mismatches([], [], defects, params, calibration) == [-1] * 5
+    # No sets: nothing to report, whatever the transitions.
+    table, _ = decision_tables([d.caps for d in defects], params, calibration)
+    transitions = [(1, 2, DIRECTIONS[0]), (3, 3, DIRECTIONS[1])]
+    assert first_mismatch(
+        *columns_of(transitions), np.array([0, 0], dtype=np.int64),
+        table, np.zeros(0, dtype=np.intp),
+    ).tolist() == []
+    assert decisions_of([], defects[0].caps, params, calibration) == []
 
 
 def test_library_rows_share_one_table(setup):
@@ -379,6 +470,14 @@ def test_library_rows_share_one_table(setup):
     assert subset_rows.tolist() == rows[5:9].tolist()
 
 
+def test_tables_reject_buses_wider_than_their_word_space(setup):
+    _, params, _, _ = setup
+    nominal = extract_capacitance(BusGeometry.uniform(17))
+    calibration = calibrate(nominal, params)
+    with pytest.raises(ValueError, match="17-wire bus"):
+        decision_tables([nominal], params, calibration)
+
+
 def test_tables_reject_couplings_beyond_neighbours(setup, trace):
     _, params, calibration, _ = setup
     nominal = extract_capacitance(BusGeometry.uniform(WIDTH))
@@ -389,8 +488,8 @@ def test_tables_reject_couplings_beyond_neighbours(setup, trace):
     far = Defect(index=0, caps=caps, defective_wires=(), severity=1.0)
     transitions = [(t.previous, t.driven, t.direction) for t in trace]
     with pytest.raises(ValueError, match="wires 2 and 4"):
-        first_mismatch(
+        mismatches(
             transitions, [t[1] for t in transitions], [far], params, calibration
         )
     with pytest.raises(ValueError, match="wires 2 and 4"):
-        decide_many(transitions, caps, params, calibration)
+        decisions_of(transitions, caps, params, calibration)
