@@ -25,9 +25,12 @@ values; *how* a defect is judged is an engine concern:
        fault-free prefix up to that transaction is stepped without a
        hook, and the hooked run starts just before it,
     5. and *dedups* the rest of the group against that replay in one
-       pass: the replay records the ``transition -> received`` decisions
-       its run actually used (a map of the ones judged one at a time,
-       plus the arrays of every sled it jumped),
+       pass: the replay's bus hook judges every transition from the
+       replayed defect's own decision-table row (one
+       :class:`~repro.xtalk.screen.TransitionMemo` per table names the
+       columns a transition reads) and records the ``transition ->
+       received`` decisions its run actually used (a map of the ones
+       judged one at a time, plus the arrays of every sled it jumped),
        :func:`~repro.xtalk.screen.first_mismatch` tests every pending
        defect of the group against them in one gather from the table
        rows :meth:`ScreenedEngine.prepare` learned, and each
@@ -56,7 +59,7 @@ work screening saved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -80,6 +83,8 @@ from repro.xtalk.screen import (
     DIRECTION_INDEX,
     ScreenVerdict,
     TraceScreen,
+    TransitionMemo,
+    decide_many,
     decision_tables,
     first_mismatch,
 )
@@ -135,6 +140,15 @@ def capture_golden_with_trace(
     return GoldenCapture(golden=golden, trace=trace)
 
 
+class ModelTallies(Protocol):
+    """The error-model tallies a simulated check leaves behind."""
+
+    def stats(self) -> Dict[str, int]:
+        """``invocations``, ``corruptions``, ``glitch_errors`` and
+        ``delay_errors`` of the run, keyed by metric suffix."""
+        ...
+
+
 class SimulationEngine:
     """Judges one defect at a time against one self-test program.
 
@@ -144,15 +158,15 @@ class SimulationEngine:
     * :meth:`check` returns the :class:`ResponseCheck` the paper's
       external tester would produce for the defective chip — engines
       must be outcome-equivalent, whatever shortcut they take.
-    * :attr:`last_model` is the error model of the most recent
-      :meth:`check` call, or ``None`` when the engine proved the defect
-      clean without simulating (callers roll its verdict statistics into
-      observability when present).
+    * :attr:`last_model` holds the tallies of the error model that
+      judged the most recent :meth:`check` call's run, or ``None`` when
+      the engine judged the defect without simulating (callers roll its
+      statistics into observability when present).
     """
 
     name: str
     golden: GoldenReference
-    last_model: Optional[CrosstalkErrorModel]
+    last_model: Optional[ModelTallies]
 
     def check(self, defect: Defect) -> ResponseCheck:
         raise NotImplementedError
@@ -199,39 +213,70 @@ CLEAN_CHECK = ResponseCheck(detected=False, timed_out=False, mismatches=0)
 
 
 class _RecordingHook:
-    """A replay's bus hook: the model's decisions, recorded for dedup.
+    """A screened replay's bus hook: one defect's decisions from its
+    decision-table row, recorded for dedup.
 
-    :attr:`decisions` maps every transition the run judged one at a time
-    (``previous != driven``: no-transition words corrupt for no kernel)
-    to the word received.  The batch form (``corrupt_many`` /
-    ``consume``) lets the system fast-forward through a sled; it keeps
-    each consumed sled's arrays in :attr:`sleds`, never the rest of a
-    predicted sled, so :meth:`recorded` holds exactly the decisions a
-    stepped run makes (some of them more than once).
+    A transition is judged from the defect's flip row ``table[row]``:
+    the table's :class:`~repro.xtalk.screen.TransitionMemo` names the
+    columns it reads, and every set entry flips its wire, which equals
+    :meth:`~repro.xtalk.error_model.CrosstalkErrorModel.corrupt` word
+    for word and tally for tally.  :attr:`decisions` maps every
+    transition the run judged one at a time (``previous != driven``:
+    no-transition words corrupt for no set) to the word received.  The
+    batch form (``corrupt_many`` / ``consume``) lets the system
+    fast-forward through a sled; it keeps each consumed sled's arrays
+    in :attr:`sleds`, never the rest of a predicted sled, so
+    :meth:`recorded` holds exactly the decisions a stepped run makes
+    (some of them more than once).
     """
 
-    __slots__ = ("model", "decisions", "sleds", "_corrupt")
+    __slots__ = (
+        "decisions", "sleds", "invocations", "corruptions",
+        "glitch_errors", "delay_errors", "_memo", "_row", "_flips",
+    )
 
-    def __init__(self, model: CrosstalkErrorModel):
-        self.model = model
+    def __init__(self, memo: TransitionMemo, row: int):
+        self._memo = memo
+        self._row = memo.table[row]
+        self._flips = self._row.tobytes()
         self.decisions: Dict[Tuple[int, int, BusDirection], int] = {}
         self.sleds: List[
             Tuple[np.ndarray, np.ndarray, BusDirection, np.ndarray]
         ] = []
-        self._corrupt = model.corrupt
+        self.invocations = 0
+        self.corruptions = 0
+        self.glitch_errors = 0
+        self.delay_errors = 0
 
     def __call__(
         self, previous: int, driven: int, direction: BusDirection
     ) -> int:
-        received = self._corrupt(previous, driven, direction)
-        if previous != driven:
-            self.decisions[(previous, driven, direction)] = received
+        self.invocations += 1
+        if previous == driven:
+            return driven
+        key = (previous, driven, direction)
+        received = self.decisions.get(key)
+        if received is None:
+            received = driven
+            flips = self._flips
+            for bit, column in self._memo[key]:
+                if flips[column]:
+                    received ^= bit
+            self.decisions[key] = received
+        if received != driven:
+            # A flipped switching wire is a delay error (the receiver
+            # sampled its old value); a flipped stable wire a glitch.
+            flipped = received ^ driven
+            delays = bin(flipped & (previous ^ driven)).count("1")
+            self.corruptions += 1
+            self.glitch_errors += bin(flipped).count("1") - delays
+            self.delay_errors += delays
         return received
 
     def corrupt_many(
         self, previous: np.ndarray, driven: np.ndarray, direction: BusDirection
     ) -> np.ndarray:
-        return self.model.corrupt_many(previous, driven, direction)
+        return decide_many(previous, driven, direction, self._row)
 
     def consume(
         self,
@@ -241,7 +286,24 @@ class _RecordingHook:
         received: np.ndarray,
     ) -> None:
         self.sleds.append((previous, driven, direction, received))
-        self.model.consume(previous, driven, direction, received)
+        self.invocations += len(received)
+        flips = received ^ driven
+        corruptions = int(np.count_nonzero(flips))
+        if corruptions:
+            flipped = int(np.bitwise_count(flips).sum())
+            delays = int(np.bitwise_count(flips & (previous ^ driven)).sum())
+            self.corruptions += corruptions
+            self.glitch_errors += flipped - delays
+            self.delay_errors += delays
+
+    def stats(self) -> Dict[str, int]:
+        """The tallies, keyed by metric suffix (see :class:`ModelTallies`)."""
+        return {
+            "invocations": self.invocations,
+            "corruptions": self.corruptions,
+            "glitch_errors": self.glitch_errors,
+            "delay_errors": self.delay_errors,
+        }
 
     def recorded(self) -> List[np.ndarray]:
         """``[previous, driven, directions, received]``: every decision
@@ -293,10 +355,15 @@ class ScreenedEngine(SimulationEngine):
         self.screen = TraceScreen(capture.trace, params, calibration)
         self._scratch = make_system(program, self._base_image)
         self.verdicts: Dict[int, ScreenVerdict] = {}
+        # defect index -> (decision table, its row), for every prepared
+        # corrupting defect.
+        self._rows: Dict[int, Tuple[np.ndarray, int]] = {}
         # first corrupted trace index -> prepared defects of that group
-        # not judged yet: defect index -> (decision table, its row), in
-        # library order.
+        # not judged yet, with their rows, in library order.
         self._pending: Dict[int, Dict[int, Tuple[np.ndarray, int]]] = {}
+        # id(table) -> its transition memo, shared by every replay of a
+        # defect of that table (the memo keeps the table, so its id).
+        self._memos: Dict[int, TransitionMemo] = {}
         # defect index -> outcome of a replay it provably reproduces.
         self._deduped: Dict[int, ResponseCheck] = {}
         self.last_model = None
@@ -331,7 +398,14 @@ class ScreenedEngine(SimulationEngine):
         for defect, row in zip(pending, rows.tolist()):
             first_index = self.verdicts[defect.index].first_index
             group = self._pending.setdefault(first_index, {})
-            group[defect.index] = (table, row)
+            group[defect.index] = self._rows[defect.index] = (table, row)
+
+    def _memo(self, table: np.ndarray) -> TransitionMemo:
+        """The transition memo of ``table``, one per engine."""
+        memo = self._memos.get(id(table))
+        if memo is None:
+            memo = self._memos[id(table)] = TransitionMemo(table)
+        return memo
 
     # -- judging ------------------------------------------------------------
 
@@ -364,15 +438,15 @@ class ScreenedEngine(SimulationEngine):
         system.reset(self.program.entry)
         while system.cycle < verdict.first_cycle - 1:
             system.step()
-        model = CrosstalkErrorModel(defect.caps, self.params, self.calibration)
-        hook = _RecordingHook(model)
+        table, row = self._rows[defect.index]
+        hook = _RecordingHook(self._memo(table), row)
         bus = _bus_of(system, self.bus)
         bus.install_corruption_hook(hook)
         try:
             result = system.resume(max_cycles=self.golden.max_cycles)
         finally:
             bus.install_corruption_hook(None)
-        self.last_model = model
+        self.last_model = hook
         outcome = check_response(self.golden, system, result.halted)
         if group:
             # Agreement must hold on *every* transition the recorded run
@@ -400,6 +474,7 @@ class ScreenedEngine(SimulationEngine):
 
 __all__ = [
     "GoldenCapture",
+    "ModelTallies",
     "SimulationEngine",
     "ExactEngine",
     "ScreenedEngine",

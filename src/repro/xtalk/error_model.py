@@ -11,37 +11,33 @@ receiving end samples a corrupted word:
   RC delay exceeds the settling margin.
 
 The model is installed as a :class:`~repro.soc.bus.Bus` corruption hook,
-so during defect simulation **every** bus transition of the executing
-self-test program passes through it — including instruction fetches.
+so during an exact defect simulation **every** bus transition of the
+executing self-test program passes through it — including instruction fetches.
 This is what lets the simulation capture fault masking and secondary
 corruption effects, as the paper's HDL environment does.
 
 The per-wire decision itself lives in the shared pure
 :class:`~repro.xtalk.kernel.TransitionKernel` (all thresholds are
-precomputed into the capacitance domain at construction time, keeping
-the per-transition cost low — the defect simulator calls this hook
-millions of times).  The model adds the stateful parts: native tallies
-and the hook signature, plus the hook's batch form over int64 word
-arrays (:meth:`~CrosstalkErrorModel.corrupt_many`, one gather from the
-set's decision-table row, and :meth:`~CrosstalkErrorModel.consume`,
-which tallies with a popcount), which lets a replay jump through an
-empty-memory sled.  :class:`~repro.xtalk.screen.TraceScreen` uses the
-same tables to pre-screen whole defect libraries against a golden
-transaction trace without simulating anything.
+precomputed into the capacitance domain at construction time).  The
+model adds native tallies and the hook signature.  It is the scalar
+oracle: :class:`~repro.core.engine.ExactEngine`, the BIST comparison
+and the diagnostics install it.  A screened replay judges from the
+defect's row of the per-wire decision tables instead
+(:mod:`repro.xtalk.screen`), which equal this model word for word;
+:class:`~repro.xtalk.screen.TraceScreen` uses the same tables to
+pre-screen whole defect libraries against a golden transaction trace
+without simulating anything.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List
 
 from repro.soc.bus import BusDirection
 from repro.xtalk.calibration import Calibration, calibrate
 from repro.xtalk.capacitance import CapacitanceSet
 from repro.xtalk.kernel import TransitionKernel, WireError
 from repro.xtalk.params import ElectricalParams
-from repro.xtalk.screen import decide_many, decision_tables
 
 __all__ = ["CrosstalkErrorModel", "WireError"]
 
@@ -80,8 +76,6 @@ class CrosstalkErrorModel:
         self.glitch_errors = 0
         self.delay_errors = 0
         self._decide = self.kernel.decide
-        # This set's flip row, looked up by the first corrupt_many call.
-        self._row: Optional[np.ndarray] = None
 
     @classmethod
     def nominal(
@@ -111,49 +105,6 @@ class CrosstalkErrorModel:
             self.glitch_errors += glitch_flips
             self.delay_errors += delay_flips
         return received
-
-    def corrupt_many(
-        self, previous: np.ndarray, driven: np.ndarray, direction: BusDirection
-    ) -> np.ndarray:
-        """The word the receiver samples for each transition, in order.
-
-        The batch form of :meth:`corrupt` over the int64 arrays
-        ``previous`` and ``driven`` of transitions in one ``direction``:
-        one gather from this set's flip row (see
-        :func:`~repro.xtalk.screen.decide_many`).  It tallies nothing:
-        the caller passes the transitions its run actually used to
-        :meth:`consume`.
-        """
-        row = self._row
-        if row is None:
-            table, rows = decision_tables(
-                [self.caps], self.params, self.calibration
-            )
-            row = self._row = table[rows[0]]
-        return decide_many(previous, driven, direction, row)
-
-    def consume(
-        self,
-        previous: np.ndarray,
-        driven: np.ndarray,
-        direction: BusDirection,
-        received: np.ndarray,
-    ) -> None:
-        """Tally the transitions with the words :meth:`corrupt_many`
-        gave, exactly as one :meth:`corrupt` call each would have.
-
-        A flipped wire that was switching is a delay error (the receiver
-        sampled its old value); a flipped stable wire is a glitch error.
-        """
-        self.invocations += len(received)
-        flips = received ^ driven
-        corruptions = int(np.count_nonzero(flips))
-        if corruptions:
-            flipped = int(np.bitwise_count(flips).sum())
-            delays = int(np.bitwise_count(flips & (previous ^ driven)).sum())
-            self.corruptions += corruptions
-            self.glitch_errors += flipped - delays
-            self.delay_errors += delays
 
     def stats(self) -> Dict[str, int]:
         """The native tallies, keyed by metric suffix."""

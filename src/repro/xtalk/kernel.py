@@ -12,14 +12,16 @@ the receiver samples wrongly:
   coupling load exceeds the per-direction delay slack.
 
 The kernel is **pure**: :meth:`decide` and :meth:`explain` depend only
-on the constructor arguments and mutate nothing.  It backs the bus
-corruption hook (:class:`~repro.xtalk.error_model.CrosstalkErrorModel`,
-which adds tallies), its wire-by-wire diagnostics (:meth:`explain`) and
-the screen's scalar reference ``TraceScreen.screen_one``.  The screen's
-vectorized paths read :func:`~repro.xtalk.screen.decision_tables`
-instead: the same sums and thresholds, evaluated once per wire window
-with this class's float operations in this class's order, so they agree
-bit for bit.
+on the constructor arguments and mutate nothing.  It backs the scalar
+error model (:class:`~repro.xtalk.error_model.CrosstalkErrorModel`,
+which adds tallies), the bus corruption hook that the exact engine,
+BIST and the diagnostics install; the wire-by-wire diagnostics
+(:meth:`explain`); and the screen's scalar reference
+``TraceScreen.screen_one``.  The screened engine never builds one: its
+screen, its replay dedup and its replays' bus hook read
+:func:`~repro.xtalk.screen.decision_tables` instead, the same sums and
+thresholds evaluated once per wire window with this class's float
+operations in this class's order, so they agree bit for bit.
 """
 
 from __future__ import annotations

@@ -35,8 +35,11 @@ gathers the present ones for every defect and reports each defect's
 first transition whose received word differs from a target: the driven
 words for :meth:`TraceScreen.screen`, a recorded replay's received
 words for the engine's replay dedup.  :func:`decide_many` reads one
-set's received words for an array, the error model's batch hook for a
-replay fast-forwarding through an empty-memory sled.
+set's received words for an array, the batch form of a screened
+replay's bus hook for a run fast-forwarding through an empty-memory
+sled.  A :class:`TransitionMemo` gives the same hook, one transition at
+a time, the columns a transition reads from a table, so a replay judges
+each transition from its defect's flip row without a kernel.
 
 :meth:`TraceScreen.screen_one` is the scalar reference: one
 :class:`TransitionKernel` scan over the deduplicated transitions with
@@ -312,6 +315,47 @@ def decide_many(
     flips = row[block:block + (width << 6)].take(_columns(previous, driven, width))
     flips[previous == driven] = False
     return driven ^ (flips @ (1 << np.arange(width)))
+
+
+class TransitionMemo(dict):
+    """``(previous, driven, direction) -> ((wire bit, column), ...)``
+    for one decision table.
+
+    An entry lists, for every wire, the flip-row column the transition
+    reads (see :func:`decision_tables`), but only the columns some row
+    of :attr:`table` can flip (``table.any(axis=0)``); a wire no row can
+    flip there is received as driven by every set of the table.  So
+    ``driven`` XOR the bits of the entry whose ``row[column]`` is set is
+    ``TransitionKernel(caps, ...).decide(...)[0]`` for the set of any
+    row, whatever the physics or calibration that built the table.
+    Entries are built on first lookup and serve every row, so a
+    transition judged for one defect is not worked out again for the
+    next.
+    """
+
+    __slots__ = ("table", "_live", "_width")
+
+    def __init__(self, table: np.ndarray):
+        super().__init__()
+        self.table = table
+        self._live = table.any(axis=0).tobytes()
+        self._width = table.shape[1] >> 7
+
+    def __missing__(
+        self, key: Tuple[int, int, BusDirection]
+    ) -> Tuple[Tuple[int, int], ...]:
+        previous, driven, direction = key
+        before, after = _word_windows(self._width)
+        block = DIRECTION_INDEX[direction] * (self._width << 6)
+        live = self._live
+        entry = self[key] = tuple(
+            (1 << wire, column)
+            for wire, column in enumerate(
+                (before[previous] + (after[driven] + block)).tolist()
+            )
+            if live[column]
+        )
+        return entry
 
 
 @dataclass(frozen=True)

@@ -223,11 +223,76 @@ def test_dedup_across_separately_prepared_defects(builder, addr_setup):
         for group in engine._pending.values()
     )
     assert run_defects(engine, defects, "addr") == exact
+    # Replays of one table share that table's transition memo; the
+    # other table gets a memo of its own.
+    replayed = set(engine._rows) - set(engine._deduped)
+    assert set(engine._memos) == {
+        id(engine._rows[index][0]) for index in replayed
+    }
+    first, second = {id(table): table for table, _ in engine._rows.values()}.values()
+    assert engine._memo(first) is engine._memo(first)
+    assert engine._memo(first).table is first
+    assert engine._memo(second).table is second
+    assert engine._memo(second) is not engine._memo(first)
     # The same defects are deduped as when one table holds them all.
     reference = campaign(program, addr_setup, "addr", "screened").build_engine()
     run_defects(reference, addr_setup.library, "addr")
     assert engine._deduped
     assert engine._deduped == reference._deduped
+
+
+@pytest.mark.parametrize("bus", ["addr", "data"])
+def test_screened_replays_build_no_kernel(request, bus, monkeypatch):
+    """Once the engine is built, a screened campaign judges every replay
+    from its defect's decision-table row: building a TransitionKernel
+    would raise, and the outcomes still equal the exact engine's."""
+    from repro.xtalk.kernel import TransitionKernel
+
+    program = request.getfixturevalue(f"{bus}_program")
+    setup = request.getfixturevalue(f"{bus}_setup")
+    exact = outcomes(program, setup, bus, engine="exact")
+    engine = campaign(program, setup, bus, "screened").build_engine()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a screened replay built a TransitionKernel")
+
+    monkeypatch.setattr(TransitionKernel, "__init__", refuse)
+    assert run_defects(engine, setup.library, bus) == exact
+    assert engine._memos  # replays ran
+
+
+def test_checking_a_defect_twice_replays_it_twice(
+    addr_program, addr_setup, monkeypatch
+):
+    """A second check of a replayed defect, whose group entry is gone,
+    replays it again from its row, to the same outcome."""
+    from repro.soc.system import CpuMemorySystem
+
+    engine = campaign(addr_program, addr_setup, "addr", "screened").build_engine()
+    defect = next(
+        d for d in addr_setup.library.defects
+        if not engine.verdicts[d.index].clean
+    )
+    resumes = []
+    resume = CpuMemorySystem.resume
+
+    def counting_resume(self, *args, **kwargs):
+        resumes.append(self)
+        return resume(self, *args, **kwargs)
+
+    monkeypatch.setattr(CpuMemorySystem, "resume", counting_resume)
+    first = engine.check(defect)
+    first_stats = engine.last_model.stats()
+    group = engine._pending[engine.verdicts[defect.index].first_index]
+    assert defect.index not in group
+    second = engine.check(defect)
+    assert len(resumes) == 2
+    assert second == first
+    assert engine.last_model.stats() == first_stats
+    exact = ExactEngine(
+        addr_program, addr_setup.params, addr_setup.calibration, "addr"
+    )
+    assert exact.check(defect) == first
 
 
 def test_couplings_beyond_neighbours_fail_prepare_not_the_oracle(

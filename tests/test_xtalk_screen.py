@@ -16,10 +16,12 @@ from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.geometry import BusGeometry
 from repro.xtalk.params import ElectricalParams
 from repro.xtalk.kernel import TransitionKernel
-from repro.core.engine import capture_golden_with_trace
+from repro.core.engine import _RecordingHook, capture_golden_with_trace
 from repro.xtalk.screen import (
     DIRECTION_INDEX,
     TraceScreen,
+    TransitionMemo,
+    _columns,
     decide_many,
     decision_tables,
     first_mismatch,
@@ -226,13 +228,17 @@ def test_first_mismatch_matches_scalar_kernel(setup, trace):
 
 
 def test_batch_model_matches_scalar_model(setup, trace):
-    """corrupt_many + consume give the words and tallies of one corrupt
+    """The batch form of the model, a screened replay's hook:
+    corrupt_many + consume give the words and tallies of one corrupt
     call per transition, no-transition words included."""
     _, params, calibration, library = setup
+    defects = library.defects
+    table, rows = decision_tables([d.caps for d in defects], params, calibration)
+    memo = TransitionMemo(table)
     totals = {"corruptions": 0, "glitch_errors": 0, "delay_errors": 0}
-    for defect in library.defects:
+    for defect, row in zip(defects, rows.tolist()):
         scalar = CrosstalkErrorModel(defect.caps, params, calibration)
-        batch = CrosstalkErrorModel(defect.caps, params, calibration)
+        batch = _RecordingHook(memo, row)
         for direction in DIRECTIONS:
             transitions = [
                 (t.previous, t.driven, direction) for t in trace
@@ -249,6 +255,91 @@ def test_batch_model_matches_scalar_model(setup, trace):
         for name in totals:
             totals[name] += scalar.stats()[name]
     assert all(totals.values()), totals
+
+
+@pytest.fixture(scope="module")
+def library_sets(setup, address_setup):
+    """``width -> (params, calibration, defects)`` for the 8-wire test
+    library and the 12-wire address-bus library."""
+    _, params, calibration, library = setup
+    return {
+        WIDTH: (params, calibration, library.defects),
+        12: (
+            address_setup.params, address_setup.calibration,
+            address_setup.library.defects[:200],
+        ),
+    }
+
+
+@st.composite
+def transitions_on(draw, width):
+    """Random ``(previous, driven, direction)`` triples on a
+    ``width``-bit bus, some with ``previous == driven``."""
+    words = st.integers(0, (1 << width) - 1)
+    directions = st.sampled_from(DIRECTIONS)
+    moving = st.tuples(words, words, directions)
+    still = st.tuples(words, directions).map(lambda t: (t[0], t[0], t[1]))
+    return draw(st.lists(st.one_of(moving, still), max_size=120))
+
+
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_replay_hook_matches_scalar_kernel(library_sets, data):
+    """One call per transition: the hook's received words and tallies
+    equal CrosstalkErrorModel.corrupt for two defects of one table, and
+    the second defect's hook is served by memo entries the first one
+    built."""
+    width = data.draw(st.sampled_from(sorted(library_sets)))
+    params, calibration, defects = library_sets[width]
+    table, rows = decision_tables([d.caps for d in defects], params, calibration)
+    memo = TransitionMemo(table)
+    transitions = data.draw(transitions_on(width))
+    picks = data.draw(
+        st.lists(st.integers(0, len(defects) - 1), min_size=2, max_size=2)
+    )
+    sizes = []
+    for pick in picks:
+        scalar = CrosstalkErrorModel(defects[pick].caps, params, calibration)
+        hook = _RecordingHook(memo, int(rows[pick]))
+        words = [hook(*transition) for transition in transitions]
+        assert words == [scalar.corrupt(*t) for t in transitions]
+        assert hook.stats() == scalar.stats()
+        assert hook.decisions == {
+            t: word for t, word in zip(transitions, words) if t[0] != t[1]
+        }
+        sizes.append(len(memo))
+    # The second defect read the first one's entries: none was added.
+    assert sizes[0] == sizes[1] == len(
+        {t for t in transitions if t[0] != t[1]}
+    )
+    assert all(key[0] != key[1] for key in memo)
+
+
+def test_transition_memo_keeps_only_flippable_columns(address_setup):
+    """An entry lists a wire only where some row of its table can flip
+    it; the columns listed are the transition's table columns."""
+    params, calibration = address_setup.params, address_setup.calibration
+    defects = address_setup.library.defects
+    table, _ = decision_tables([d.caps for d in defects], params, calibration)
+    memo = TransitionMemo(table)
+    live = table.any(axis=0)
+    assert 0 < live.sum() < live.size
+    rng = random.Random(5)
+    for _ in range(300):
+        previous, driven = rng.getrandbits(12), rng.getrandbits(12)
+        direction = rng.choice(DIRECTIONS)
+        if previous == driven:
+            continue
+        columns = _columns(
+            np.array([previous]), np.array([driven]), 12
+        )[0] + DIRECTION_INDEX[direction] * (12 << 6)
+        assert memo[previous, driven, direction] == tuple(
+            (1 << wire, int(column)) for wire, column in enumerate(columns)
+            if live[column]
+        )
 
 
 # -- decision tables against the scalar kernel ---------------------------------
