@@ -17,7 +17,8 @@ class Memory:
     :attr:`version` rises on every write that changes a cell's value and
     on every :meth:`restore` and :meth:`fill`, and never falls: two
     moments of one run with the same version have the same content.  The
-    system's hang proof keys on it instead of hashing 4K per instruction.
+    system's hang proof reads the content only when the version has
+    moved, instead of copying 4K at every instruction.
     """
 
     def __init__(self, size: int = MEMORY_SIZE, fill: int = 0x00):

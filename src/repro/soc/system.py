@@ -44,6 +44,10 @@ _TO_MEM = BusDirection.CPU_TO_MEM
 _TO_CPU = BusDirection.MEM_TO_CPU
 _FETCH = TransactionKind.FETCH
 _OPERAND = TransactionKind.OPERAND_READ
+#: Distinct memory contents one :meth:`CpuMemorySystem._clock` call
+#: interns for its hang proof (4 MB of 4K memories); past it the proof
+#: forgets every key and starts over.
+_MAX_CONTENTS = 1024
 
 
 class RunEnd(enum.Enum):
@@ -138,20 +142,24 @@ class CpuMemorySystem(BusPort):
 
     def address_phase(self, address: int, kind: TransactionKind) -> None:
         self._pending_address = self.address_bus.transfer(
-            address, BusDirection.CPU_TO_MEM, kind, self.cycle
+            address, _TO_MEM, kind, self.cycle
         )
 
     def read_phase(self, kind: TransactionKind) -> int:
-        value = self._route_read(self._pending_address)
-        return self.data_bus.transfer(
-            value, BusDirection.MEM_TO_CPU, kind, self.cycle
-        )
+        if self.mmio_regions:
+            value = self._route_read(self._pending_address)
+        else:
+            memory = self.memory
+            value = memory._cells[self._pending_address % memory.size]
+        return self.data_bus.transfer(value, _TO_CPU, kind, self.cycle)
 
     def write_phase(self, value: int, kind: TransactionKind) -> None:
-        received = self.data_bus.transfer(
-            value, BusDirection.CPU_TO_MEM, kind, self.cycle
-        )
-        self._route_write(self._pending_address, received)
+        received = self.data_bus.transfer(value, _TO_MEM, kind, self.cycle)
+        if self.mmio_regions:
+            self._route_write(self._pending_address, received)
+        else:
+            memory = self.memory
+            memory.write(self._pending_address % memory.size, received)
 
     # -- address decoding --------------------------------------------------
 
@@ -369,10 +377,14 @@ class CpuMemorySystem(BusPort):
         hook is a pure function of its transition, so when the state at
         an instruction boundary repeats, the run repeats forever.  That
         state is the CPU's :meth:`boundary_state`, both buses' held words
-        and the memory content, known by :attr:`Memory.version`.  Versions
-        never fall, so keys seen under an older version cannot recur and
-        are dropped.  MMIO cores keep state outside the key, so a system
-        with ``mmio_regions`` is only stopped by halt or the budget — the
+        and the memory content.  The content enters the key as a small
+        int: each time :attr:`Memory.version` moves, the memory is copied
+        once and interned, so a loop whose writes bring memory back to an
+        earlier content is proven too.  At most :data:`_MAX_CONTENTS`
+        contents are interned; past that the keys and contents are
+        dropped, which can delay or lose a proof but never invents one.
+        MMIO cores keep state outside the key, so a system with
+        ``mmio_regions`` is only stopped by halt or the budget — the
         same rule :meth:`snapshot` applies.
 
         The sled fast-forward (:meth:`_fast_forward`) runs at every
@@ -396,6 +408,8 @@ class CpuMemorySystem(BusPort):
         address_bus = self.address_bus
         data_bus = self.data_bus
         seen: set = set()
+        contents: dict = {bytes(cells): 0} if prove else {}
+        content = 0
         version = memory.version
         count = cpu.instruction_count
         cycle = self.cycle
@@ -419,10 +433,18 @@ class CpuMemorySystem(BusPort):
                 continue
             if memory.version != version:
                 version = memory.version
-                seen.clear()
+                snapshot = bytes(cells)
+                content = contents.get(snapshot)
+                if content is None:
+                    if len(contents) == _MAX_CONTENTS:
+                        contents.clear()
+                        seen.clear()
+                    content = contents[snapshot] = len(contents)
             # The held words are read directly: the ``value`` property
             # would add two Python calls to every instruction.
-            key = (boundary_state(), address_bus._value, data_bus._value)
+            key = (
+                boundary_state(), address_bus._value, data_bus._value, content
+            )
             if key in seen:
                 return RunEnd.LOOP, skipped
             seen.add(key)

@@ -389,3 +389,68 @@ def test_batch_transitions_are_the_predicted_bus_words():
         (0x000, 0x202), (0x202, 0x203), (0x203, 0x000),
     ]
     assert len(driven) == 3 * 128
+
+
+# -- hang proof soundness ----------------------------------------------------
+
+
+def stepped_run(bus, decide, image, entry, max_cycles):
+    """Step ``image`` with a plain hook until it halts or the budget
+    runs out; the system and the set of transitions the hook saw."""
+    system = CpuMemorySystem()
+    system.load_image(image)
+    transitions = set()
+
+    def plain(previous, driven, direction):
+        transitions.add((previous, driven))
+        return decide(previous, driven, direction)
+
+    getattr(system, bus).install_corruption_hook(plain)
+    system.reset(entry)
+    while system.cycle < max_cycles and not system.cpu.halted:
+        system.step()
+    return system, transitions
+
+
+@settings(
+    max_examples=80, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_proven_loops_never_halt(data):
+    """Random code, a halt, a few stray bytes and a hook corrupting one
+    transition the clean run makes: ``run`` halts exactly when a plain
+    ``step`` loop to the same budget does, in the same cycle and memory,
+    so a ``LOOP`` end is never a run that would have halted."""
+    bus = data.draw(st.sampled_from(["address_bus", "data_bus"]))
+    entry = data.draw(st.integers(0, 0xFC0))
+    code = data.draw(st.binary(min_size=1, max_size=48))
+    image = {entry + offset: byte for offset, byte in enumerate(code)}
+    # A halt jump after the code, so straight-line runs halt.
+    halt = entry + len(code)
+    image.update({halt: 0x80 | halt >> 8, halt + 1: halt & 0xFF})
+    image.update(
+        data.draw(
+            st.dictionaries(
+                st.integers(0, 0xFFF), st.integers(0, 0xFF), max_size=8
+            )
+        )
+    )
+    max_cycles = data.draw(st.integers(1, 6000))
+    _, transitions = stepped_run(
+        bus, corrupt_one(None, 0), image, entry, max_cycles
+    )
+    transition = data.draw(st.sampled_from([None, *sorted(transitions)]))
+    mask = 0xFFF if bus == "address_bus" else 0xFF
+    decide = corrupt_one(transition, data.draw(st.integers(0, mask)))
+    stepped, _ = stepped_run(bus, decide, image, entry, max_cycles)
+    fast = CpuMemorySystem()
+    fast.load_image(image)
+    getattr(fast, bus).install_corruption_hook(BatchHook(decide))
+    result = fast.run(entry=entry, max_cycles=max_cycles)
+    assert result.halted == stepped.cpu.halted
+    if result.halted:
+        assert result.cycles == stepped.cycle
+        assert fast.memory.snapshot() == stepped.memory.snapshot()
+    if result.end is RunEnd.LOOP:
+        assert not stepped.cpu.halted and stepped.cycle == max_cycles

@@ -2,7 +2,7 @@
 
 from repro.isa.assembler import assemble
 from repro.soc.bus import BusDirection
-from repro.soc.system import CpuMemorySystem, RunEnd
+from repro.soc.system import _MAX_CONTENTS, CpuMemorySystem, RunEnd
 from repro.soc.tracer import BusTracer
 
 
@@ -157,10 +157,17 @@ out:    .byte 0
     assert result.cycles < 100
 
 
-def test_loop_counting_in_memory_is_not_proven():
+def _cycles_of_first_pass(source, entry, instructions):
+    """Cycles a fresh system takes for the first ``instructions``."""
     system = CpuMemorySystem()
-    program = assemble(
-        """
+    system.load_image(assemble(source).image)
+    system.reset(entry)
+    while system.cpu.instruction_count < instructions:
+        system.step()
+    return system.cycle
+
+
+COUNTER = """
         .org 0x10
 loop:   lda count
         add one
@@ -168,12 +175,93 @@ loop:   lda count
         jmp loop
 count:  .byte 0
 one:    .byte 1
+"""
+
+
+def test_loop_counting_in_memory_is_proven():
+    # Every pass writes a new count, but after 256 passes the memory
+    # content, and with it the whole state, repeats.
+    system = CpuMemorySystem()
+    system.load_image(assemble(COUNTER).image)
+    result = system.run(entry=0x10, max_cycles=100_000)
+    assert result.end is RunEnd.LOOP
+    period = 256 * _cycles_of_first_pass(COUNTER, 0x10, 4)
+    assert period <= result.cycles < 2 * period
+
+
+#: A 16-bit counter that halts when it wraps, 65 536 passes in: no
+#: memory content repeats before then.
+WIDE_COUNTER = """
+        .org 0x10
+loop:   lda low
+        add one
+        sta low
+        bra_c carry
+        jmp loop
+carry:  lda high
+        add one
+        sta high
+        bra_c done
+        jmp loop
+done:   jmp done
+low:    .byte 0
+high:   .byte 0
+one:    .byte 1
+"""
+
+
+def test_loop_with_fresh_memory_content_runs_to_the_budget():
+    system = CpuMemorySystem()
+    system.load_image(assemble(WIDE_COUNTER).image)
+    budget = 60_000
+    result = system.run(entry=0x10, max_cycles=budget)
+    assert result.end is RunEnd.BUDGET
+    assert result.cycles == budget
+    # More distinct contents than the proof interns: the run went
+    # through at least one clearing of its keys.
+    passes = budget // _cycles_of_first_pass(WIDE_COUNTER, 0x10, 5)
+    assert passes > _MAX_CONTENTS
+
+
+def test_loop_that_halts_after_repeating_its_low_byte_halts():
+    # From high = 0xFB the counter halts after 5 x 256 passes.  The low
+    # byte's laps repeat every register and held bus word; only the
+    # high byte, and more contents than the proof interns, tell them
+    # apart.
+    program = assemble(WIDE_COUNTER)
+    system = CpuMemorySystem()
+    system.load_image({**program.image, program.symbols["high"]: 0xFB})
+    result = system.run(entry=0x10, max_cycles=1_000_000)
+    assert result.halted
+    assert 5 * 256 > _MAX_CONTENTS
+    assert system.memory.read(program.symbols["high"]) == 0
+
+
+def test_mmio_region_serves_loads_and_stores():
+    from repro.soc.mmio import MMIORegion, RegisterCore
+
+    core = RegisterCore(register_count=8)
+    core.load([0, 0, 0x3C])
+    system = CpuMemorySystem(
+        mmio_regions=[MMIORegion(base=0xF00, size=8, core=core)]
+    )
+    program = assemble(
+        """
+        .org 0x10
+        lda 15:0x02
+        sta 15:0x05
+        sta out
+halt:   jmp halt
+out:    .byte 0
         """
     )
     system.load_image(program.image)
-    result = system.run(entry=0x10, max_cycles=10_000)
-    assert result.end is RunEnd.BUDGET
-    assert result.cycles == 10_000
+    assert system.run(entry=0x10).halted
+    assert core.snapshot()[5] == 0x3C
+    assert system.memory.read(program.symbols["out"]) == 0x3C
+    # The core's window hides the memory cells behind it.
+    assert system.memory.read(0xF02) == 0 and system.memory.read(0xF05) == 0
+    assert (core.read_count, core.write_count) == (1, 1)
 
 
 def test_mmio_system_runs_to_the_budget():
